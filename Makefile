@@ -13,7 +13,7 @@ BENCHTIME ?= 1s
 # engine-scale point (BENCHSUITE_FLAGS="-gate" make bench-json).
 BENCHSUITE_FLAGS ?= -quick -gate
 
-.PHONY: build vet test race check bench bench-json bench-scale fuzz smoke faults tcp-suite fault-tcp-suite decomp-suite obs-suite
+.PHONY: build vet test race check bench bench-json bench-scale fuzz smoke faults tcp-suite fault-tcp-suite decomp-suite obs-suite perfbench-selftest
 
 build:
 	go build ./...
@@ -76,6 +76,14 @@ obs-suite:
 # contract of DESIGN.md §3's decomposition section).
 decomp-suite:
 	go test -race -timeout 300s ./internal/decomp ./internal/embed ./internal/route ./internal/mst -run 'TestDecomp|TestBuildPartitioned|TestBuildDisconnectedError|TestRoutePartitioned|TestRunPartitioned'
+
+# The repository benchmark's self-test (perfbench is a module of its own,
+# outside ./...): metric names against BENCHMARK.json, repeatable counts,
+# failing checks on corrupted outputs, and the replay-fidelity gate that
+# re-runs embed.Build's walk and scheduler calls and must reproduce the
+# construction ledger and emulation rounds exactly.
+perfbench-selftest:
+	cd perfbench && go test .
 
 bench:
 	go test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./...

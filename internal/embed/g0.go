@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/graph"
 	"almostmix/internal/randomwalk"
 	"almostmix/internal/spectral"
@@ -21,8 +22,9 @@ import (
 // physical rounds: the forward walk execution plus the backward replay
 // that informs sources of their endpoints plus the second forward replay
 // that informs endpoints of their in-edges (three traversals, as in the
-// paper).
-func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand) (*Overlay, error) {
+// paper). The two components are charged to the "walks" and
+// "endpoint-replay" children of led's current span as they run.
+func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand, led *cost.Ledger) (*Overlay, error) {
 	m2 := vm.Count()
 	walkLen := r.walkLenFactor * tau
 	if walkLen < 1 {
@@ -36,7 +38,7 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand
 			sources = append(sources, owner)
 		}
 	}
-	res := randomwalk.Run(g, sources, randomwalk.Config{
+	res := runWalks(led, g, sources, randomwalk.Config{
 		Kind:   spectral.Lazy,
 		Steps:  walkLen,
 		Record: true,
@@ -50,24 +52,26 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand
 		NumParts: 1,
 	}
 	kept := make([]int, 0, m2*r.degreeG0)
+	// seenBy[t] = vid+1 once vid's candidates reached target t, whose
+	// first walk there is walkTo[t].
+	seenBy := make([]int32, m2)
+	walkTo := make([]int32, m2)
+	order := make([]int32, 0, r.walksPerVNode)
 	for vid := 0; vid < m2; vid++ {
 		base := vid * r.walksPerVNode
 		// Deduplicate candidate endpoints, then keep a random
 		// degreeG0-subset (the paper keeps exactly 100·log n of the at
 		// least 100·log n distinct endpoints).
-		seen := make(map[int32]int, r.walksPerVNode) // target vid -> walk index
-		order := make([]int32, 0, r.walksPerVNode)
+		order = order[:0]
 		for j := 0; j < r.walksPerVNode; j++ {
 			w := base + j
 			endPhys := int(res.Ends[w])
 			target := vm.VID(endPhys, rng.IntN(vm.DegreeOf(endPhys)))
-			if int(target) == vid {
+			if int(target) == vid || seenBy[target] == int32(vid)+1 {
 				continue
 			}
-			if _, dup := seen[target]; dup {
-				continue
-			}
-			seen[target] = w
+			seenBy[target] = int32(vid) + 1
+			walkTo[target] = int32(w)
 			order = append(order, target)
 		}
 		take := r.degreeG0
@@ -79,13 +83,10 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand
 			j := i + rng.IntN(len(order)-i)
 			order[i], order[j] = order[j], order[i]
 			target := order[i]
-			w := seen[target]
-			e := overlay.Graph.AddEdge(vid, int(target), 1)
-			overlay.Paths = append(overlay.Paths, res.Walks[w].Path)
-			if e != len(overlay.Paths)-1 {
+			if e := overlay.Graph.AddEdge(vid, int(target), 1); e != len(kept) {
 				panic("embed: G0 edge/path misalignment")
 			}
-			kept = append(kept, w)
+			kept = append(kept, int(walkTo[target]))
 		}
 	}
 
@@ -93,10 +94,7 @@ func buildG0(g *graph.Graph, vm *VirtualMap, r resolved, tau int, rng *rand.Rand
 		return nil, fmt.Errorf("embed: G0 is disconnected (%d virtual nodes, %d edges); increase DegreeG0 or walk count",
 			m2, overlay.Graph.M())
 	}
-	reverse := randomwalk.ReverseDeliveryRounds(g, res.Walks, kept)
-	overlay.walkRounds = res.Stats.Rounds
-	overlay.replayRounds = 2 * reverse
-	overlay.ConstructionRounds = overlay.walkRounds + overlay.replayRounds
+	overlay.embedWalks(led, g, res, kept, walkLen, 2)
 	overlay.measureEmulation()
 	return overlay, nil
 }

@@ -89,18 +89,22 @@ func Build(g *graph.Graph, p Params, src *rngutil.Source) (*Hierarchy, error) {
 		},
 	}
 
+	// Each overlay's span is open while the level is built, so its wall
+	// time and its walks/endpoint-replay children bracket the real work.
 	led := cost.New("construction", "base rounds")
 
-	h.G0, err = buildG0(g, vm, r, tau, src.Stream("g0", 0))
+	led.Open("g0", "base rounds", 1)
+	h.G0, err = buildG0(g, vm, r, tau, src.Stream("g0", 0), led)
 	if err != nil {
 		return nil, err
 	}
-	chargeOverlay(led, h.G0, "g0", "base rounds", 1)
+	led.CloseExpect(h.G0.ConstructionRounds)
 
 	digits := computeDigits(vm, hash, r.beta, r.levels)
 	below := h.G0
 	for level := 1; level <= r.levels; level++ {
-		overlay, err := buildLevel(level, below, digits[level-1], r, src.Stream("level", uint64(level)))
+		led.Open(fmt.Sprintf("level-%d", level), fmt.Sprintf("G%d rounds", level-1), h.EmulationToBase(level-1))
+		overlay, err := buildLevel(level, below, digits[level-1], r, src.Stream("level", uint64(level)), led)
 		if err != nil {
 			return nil, err
 		}
@@ -108,12 +112,9 @@ func Build(g *graph.Graph, p Params, src *rngutil.Source) (*Hierarchy, error) {
 		if err != nil {
 			return nil, err
 		}
+		led.CloseExpect(overlay.ConstructionRounds)
 		h.Upper = append(h.Upper, overlay)
 		h.Portals = append(h.Portals, portals)
-		chargeOverlay(led, overlay,
-			fmt.Sprintf("level-%d", level),
-			fmt.Sprintf("G%d rounds", level-1),
-			h.EmulationToBase(level-1))
 		below = overlay
 	}
 
@@ -136,17 +137,6 @@ func Build(g *graph.Graph, p Params, src *rngutil.Source) (*Hierarchy, error) {
 	}
 	h.Costs = led
 	return h, nil
-}
-
-// chargeOverlay opens one ledger span for a freshly built overlay, with the
-// walk-execution and endpoint-replay components as children. mul converts
-// the overlay's construction rounds (measured in rounds of the level below)
-// into base-graph rounds.
-func chargeOverlay(led *cost.Ledger, o *Overlay, name, unit string, mul int) {
-	sp := led.Open(name, unit, mul)
-	sp.NewChild("walks", unit, 1).Add(o.walkRounds)
-	sp.NewChild("endpoint-replay", unit, 1).Add(o.replayRounds)
-	led.CloseExpect(o.ConstructionRounds)
 }
 
 // Overlay returns G_level (level 0 = G0).

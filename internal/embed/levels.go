@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/graph"
 	"almostmix/internal/kwise"
 	"almostmix/internal/randomwalk"
@@ -18,8 +19,9 @@ import (
 // same-part neighbor, embedded along the recorded walk path.
 //
 // digits[vid] is the β-ary digit of vid at level ℓ; the level-ℓ part of a
-// node is partOf_{ℓ−1}·β + digit.
-func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand.Rand) (*Overlay, error) {
+// node is partOf_{ℓ−1}·β + digit. Walk and replay rounds are charged to
+// led's current span as for G0.
+func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand.Rand, led *cost.Ledger) (*Overlay, error) {
 	m2 := below.Graph.N()
 	overlay := &Overlay{
 		Level:    level,
@@ -54,13 +56,13 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 			sources = append(sources, int32(vid))
 		}
 	}
-	res := randomwalk.Run(below.Graph, sources, randomwalk.Config{
+	res := runWalks(led, below.Graph, sources, randomwalk.Config{
 		Kind:   spectral.Regular,
 		Steps:  walkLen,
 		Record: true,
 	}, rng)
 
-	partSizes := make(map[int32]int)
+	partSizes := make([]int, overlay.NumParts)
 	for _, p := range overlay.PartOf {
 		partSizes[p]++
 	}
@@ -76,9 +78,7 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 			if int(end) == vid || overlay.PartOf[end] != part {
 				continue
 			}
-			e := overlay.Graph.AddEdge(vid, int(end), 1)
-			overlay.Paths = append(overlay.Paths, res.Walks[w].Path)
-			if e != len(overlay.Paths)-1 {
+			if e := overlay.Graph.AddEdge(vid, int(end), 1); e != len(kept) {
 				panic("embed: level edge/path misalignment")
 			}
 			kept = append(kept, w)
@@ -103,10 +103,7 @@ func buildLevel(level int, below *Overlay, digits []int32, r resolved, rng *rand
 	if err := checkPartsConnected(overlay); err != nil {
 		return nil, err
 	}
-	reverse := randomwalk.ReverseDeliveryRounds(below.Graph, res.Walks, kept)
-	overlay.walkRounds = res.Stats.Rounds
-	overlay.replayRounds = reverse
-	overlay.ConstructionRounds = overlay.walkRounds + overlay.replayRounds
+	overlay.embedWalks(led, below.Graph, res, kept, walkLen, 1)
 	overlay.measureEmulation()
 	return overlay, nil
 }

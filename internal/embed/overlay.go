@@ -2,9 +2,12 @@ package embed
 
 import (
 	"fmt"
+	"math/rand/v2"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/graph"
 	"almostmix/internal/pathsched"
+	"almostmix/internal/randomwalk"
 )
 
 // Overlay is one level of the hierarchical embedding: a virtual graph on
@@ -38,18 +41,58 @@ type Overlay struct {
 	// round of this overlay (one message each way on every overlay
 	// edge), in rounds of the level below.
 	EmulationRounds int
-	// walkRounds and replayRounds split ConstructionRounds into the
-	// walk-execution and endpoint-replay components, recorded for the
-	// construction cost ledger's child spans.
-	walkRounds, replayRounds int
+}
+
+// runWalks executes a level's walks inside a "walks" child of led's
+// current span, charging their measured rounds to it.
+func runWalks(led *cost.Ledger, g *graph.Graph, sources []int32, cfg randomwalk.Config, rng *rand.Rand) *randomwalk.Result {
+	led.Open("walks", led.Current().Unit, 1)
+	res := randomwalk.Run(g, sources, cfg, rng)
+	led.Charge(res.Stats.Rounds)
+	led.Close()
+	return res
+}
+
+// embedWalks makes the kept walks of res (steps long, one per overlay
+// edge, in edge order) the overlay's embedded paths, materialised into
+// one buffer. It charges the endpoint replay, replays reverse or forward
+// traversals of the kept walks on g, to an "endpoint-replay" child of
+// led's current span. ConstructionRounds is the walk execution plus the
+// replay.
+func (o *Overlay) embedWalks(led *cost.Ledger, g *graph.Graph, res *randomwalk.Result, kept []int, steps, replays int) {
+	flat := make([]int32, 0, len(kept)*(steps+1))
+	o.Paths = make([][]int32, len(kept))
+	walks := make([]randomwalk.Walk, len(kept))
+	for e, w := range kept {
+		at := len(flat)
+		flat = res.AppendPath(flat, w)
+		o.Paths[e] = flat[at:len(flat):len(flat)]
+		walks[e].Path = o.Paths[e]
+	}
+	led.Open("endpoint-replay", led.Current().Unit, 1)
+	replay := replays * randomwalk.ReverseDeliveryRounds(g, walks, nil)
+	led.Charge(replay)
+	led.Close()
+	o.ConstructionRounds = res.Stats.Rounds + replay
 }
 
 // measureEmulation schedules one packet per direction over every overlay
-// edge's embedded path and records the makespan as EmulationRounds.
+// edge's embedded path and records the makespan as EmulationRounds. The
+// reversed copies share one buffer.
 func (o *Overlay) measureEmulation() {
+	total := 0
+	for _, p := range o.Paths {
+		total += len(p)
+	}
+	back := make([]int32, total)
 	paths := make([][]int32, 0, 2*len(o.Paths))
 	for _, p := range o.Paths {
-		paths = append(paths, p, reversed(p))
+		r := back[:len(p):len(p)]
+		back = back[len(p):]
+		for i, v := range p {
+			r[len(p)-1-i] = v
+		}
+		paths = append(paths, p, r)
 	}
 	res := pathsched.Schedule(paths)
 	o.EmulationRounds = res.Makespan

@@ -12,6 +12,7 @@ package pathsched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"almostmix/internal/cost"
@@ -31,85 +32,210 @@ type Result struct {
 	Delivered int
 }
 
-// linkKey packs a directed edge between two int32 node IDs.
-func linkKey(from, to int32) int64 {
-	return int64(uint32(from))<<32 | int64(uint32(to))
-}
-
 // Schedule routes one packet along each path and returns the measured
 // costs. Paths are node-ID sequences; consecutive duplicate entries are
 // skipped (lazy steps), and empty or single-node paths are delivered at
 // time zero. Node IDs only need to be consistent within the path set —
 // the scheduler never consults a graph, so callers are responsible for
 // paths being walks of the level they schedule on.
+//
+// Every round, each directed link transmits the head of its FIFO queue;
+// the packets a link receives in one round join its queue in packet-ID
+// order. Links are dense IDs and queues are intrusive lists over packet
+// IDs, so a round touches only the links that hold packets.
 func Schedule(paths [][]int32) Result {
-	hops := make([][]int32, len(paths)) // compacted paths (duplicates removed)
 	res := Result{Delivered: len(paths)}
-	traversals := make(map[int64]int)
-	for i, p := range paths {
-		compact := make([]int32, 0, len(p))
-		for j, v := range p {
-			if j == 0 || v != compact[len(compact)-1] {
-				compact = append(compact, v)
-			}
+	seq, start, nNodes := compactPaths(paths)
+	if len(seq) == 0 {
+		return res
+	}
+
+	// Hop q runs from seq[q] to seq[q+1] for every q but a path's last
+	// entry. Bucket hops by tail node, then give each distinct head of a
+	// tail's bucket the next link ID; stamp[v] = tail+1 marks v as seen
+	// in the current bucket.
+	bucketStart := make([]int32, nNodes+1)
+	for p := range paths {
+		for q := start[p]; q+1 < start[p+1]; q++ {
+			bucketStart[seq[q]+1]++
 		}
-		hops[i] = compact
-		if len(compact)-1 > res.Dilation {
-			res.Dilation = len(compact) - 1
+	}
+	for v := 1; v <= nNodes; v++ {
+		bucketStart[v] += bucketStart[v-1]
+	}
+	bucket := make([]int32, bucketStart[nNodes])
+	fill := slices.Clone(bucketStart[:nNodes])
+	for p := range paths {
+		for q := start[p]; q+1 < start[p+1]; q++ {
+			bucket[fill[seq[q]]] = q
+			fill[seq[q]]++
 		}
-		for j := 1; j < len(compact); j++ {
-			k := linkKey(compact[j-1], compact[j])
-			traversals[k]++
-			if traversals[k] > res.Congestion {
-				res.Congestion = traversals[k]
+	}
+	link := make([]int32, len(seq)) // link[q] is hop q's link
+	stamp := make([]int32, nNodes)
+	linkOf := make([]int32, nNodes)
+	nLinks := int32(0)
+	for u := 0; u < nNodes; u++ {
+		for _, q := range bucket[bucketStart[u]:bucketStart[u+1]] {
+			v := seq[q+1]
+			if stamp[v] != int32(u)+1 {
+				stamp[v] = int32(u) + 1
+				linkOf[v] = nLinks
+				nLinks++
 			}
+			link[q] = linkOf[v]
 		}
 	}
 
-	// Synchronous FIFO store-and-forward: every round, each directed
-	// link transmits the head-of-line packet.
-	pos := make([]int, len(paths)) // next hop index (1-based into hops[i])
-	queues := make(map[int64][]int32)
+	// Congestion and dilation, from the dense link IDs.
+	traversals := make([]int32, nLinks)
+	for p := range paths {
+		res.Dilation = max(res.Dilation, int(start[p+1]-start[p])-1)
+		for q := start[p]; q+1 < start[p+1]; q++ {
+			traversals[link[q]]++
+			res.Congestion = max(res.Congestion, int(traversals[link[q]]))
+		}
+	}
+
+	// Each link's queue is an intrusive FIFO over packet IDs, -1
+	// terminated; pending lists collect one round's arrivals per link in
+	// packet-ID order.
+	queues := make([]linkQueue, nLinks)
+	for l := range queues {
+		queues[l] = linkQueue{head: -1, tail: -1, pendHead: -1, pendTail: -1}
+	}
+	pkts := make([]packet, len(paths))
+	active := make([]int32, 0, nLinks)  // links with a non-empty queue
+	arrived := make([]int32, 0, nLinks) // links with pending arrivals
 	remaining := 0
-	for i, h := range hops {
-		if len(h) <= 1 {
+	for p := range paths {
+		if start[p+1]-start[p] <= 1 {
 			continue
 		}
-		pos[i] = 1
-		k := linkKey(h[0], h[1])
-		queues[k] = append(queues[k], int32(i))
+		id := int32(p)
+		pkts[p] = packet{next: -1, at: start[p], last: start[p+1] - 1}
+		l := link[start[p]]
+		if q := &queues[l]; q.head < 0 {
+			q.head = id
+			active = append(active, l)
+		} else {
+			pkts[q.tail].next = id
+		}
+		queues[l].tail = id
 		remaining++
 	}
+
 	round := 0
-	moved := make([]int32, 0, len(queues))
 	for remaining > 0 {
 		round++
-		moved = moved[:0]
-		for k, q := range queues {
-			pkt := q[0]
-			if len(q) == 1 {
-				delete(queues, k)
+		kept := active[:0]
+		for _, l := range active {
+			q := &queues[l]
+			id := q.head
+			pk := &pkts[id]
+			if q.head = pk.next; q.head >= 0 {
+				kept = append(kept, l)
 			} else {
-				queues[k] = q[1:]
+				q.tail = -1
 			}
-			moved = append(moved, pkt)
-		}
-		// Sort arrivals so queue order (and thus the makespan) does not
-		// depend on map iteration order: runs are deterministic.
-		slices.Sort(moved)
-		for _, pkt := range moved {
-			h := hops[pkt]
-			pos[pkt]++
-			if pos[pkt] >= len(h) {
+			if pk.at++; pk.at >= pk.last {
 				remaining--
 				continue
 			}
-			k := linkKey(h[pos[pkt]-1], h[pos[pkt]])
-			queues[k] = append(queues[k], pkt)
+			// Insert into the next link's pending list, keeping packet-ID
+			// order. A link receives at most one packet per incoming link
+			// per round, so the lists stay short.
+			nl := link[pk.at]
+			switch nq := &queues[nl]; {
+			case nq.pendHead < 0:
+				nq.pendHead, nq.pendTail, pk.next = id, id, -1
+				arrived = append(arrived, nl)
+			case id > nq.pendTail:
+				pkts[nq.pendTail].next, nq.pendTail, pk.next = id, id, -1
+			case id < nq.pendHead:
+				pk.next, nq.pendHead = nq.pendHead, id
+			default:
+				at := nq.pendHead
+				for pkts[at].next < id {
+					at = pkts[at].next
+				}
+				pk.next, pkts[at].next = pkts[at].next, id
+			}
 		}
+		active = kept
+		// Arrivals join their queues after every departure of the round.
+		for _, l := range arrived {
+			q := &queues[l]
+			if q.head < 0 {
+				q.head = q.pendHead
+				active = append(active, l)
+			} else {
+				pkts[q.tail].next = q.pendHead
+			}
+			q.tail, q.pendHead = q.pendTail, -1
+		}
+		arrived = arrived[:0]
 	}
 	res.Makespan = round
 	return res
+}
+
+// linkQueue is one link's FIFO (head, tail) and its pending arrivals of
+// the current round (pendHead, pendTail), as packet IDs.
+type linkQueue struct{ head, tail, pendHead, pendTail int32 }
+
+// packet is one packet's queue link and progress: it waits to cross the
+// hop whose tail is seq[at] and is delivered once at reaches last.
+type packet struct{ next, at, last int32 }
+
+// compactPaths flattens paths into seq with lazy repeats removed, path p
+// occupying seq[start[p]:start[p+1]], and renames node IDs to dense
+// indices 0..nNodes−1: an offset from the smallest ID when the IDs span a
+// range comparable to the input, a rank among the distinct IDs otherwise.
+func compactPaths(paths [][]int32) (seq, start []int32, nNodes int) {
+	entries, kept := 0, 0 // all entries; entries that are not lazy repeats
+	lo, hi := int64(math.MaxInt32), int64(math.MinInt32)
+	for _, p := range paths {
+		entries += len(p)
+		for j, v := range p {
+			lo, hi = min(lo, int64(v)), max(hi, int64(v))
+			if j == 0 || v != p[j-1] {
+				kept++
+			}
+		}
+	}
+	if entries >= math.MaxInt32 {
+		panic(fmt.Sprintf("pathsched: %d path entries exceed int32 indexing", entries))
+	}
+	var ids []int32 // sorted distinct IDs when renaming by rank
+	if span := hi - lo + 1; span > 2*int64(entries)+64 {
+		ids = make([]int32, 0, entries)
+		for _, p := range paths {
+			ids = append(ids, p...)
+		}
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+		nNodes = len(ids)
+	} else if entries > 0 {
+		nNodes = int(span)
+	}
+	seq = make([]int32, 0, kept)
+	start = make([]int32, len(paths)+1)
+	for i, p := range paths {
+		for j, v := range p {
+			if j > 0 && v == p[j-1] {
+				continue
+			}
+			if ids != nil {
+				k, _ := slices.BinarySearch(ids, v)
+				seq = append(seq, int32(k))
+			} else {
+				seq = append(seq, int32(int64(v)-lo))
+			}
+		}
+		start[i+1] = int32(len(seq))
+	}
+	return seq, start, nNodes
 }
 
 // ScheduleInto schedules like Schedule and charges the measured makespan

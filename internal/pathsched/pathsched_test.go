@@ -84,9 +84,9 @@ func TestDeterministicMakespan(t *testing.T) {
 	g := graph.RandomRegular(32, 4, r)
 	src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 2))
 	walks := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 15, Record: true}, r)
-	paths := make([][]int32, len(walks.Walks))
-	for i, w := range walks.Walks {
-		paths[i] = w.Path
+	paths := make([][]int32, len(src))
+	for i := range paths {
+		paths[i] = walks.Path(i)
 	}
 	a := Schedule(paths)
 	b := Schedule(paths)
@@ -104,9 +104,9 @@ func TestPropertyMakespanBounds(t *testing.T) {
 		g := graph.RandomRegular(24, 4, r)
 		src := randomwalk.SourcesPerNode(randomwalk.UniformCountTimesDegree(g, 1))
 		walks := randomwalk.Run(g, src, randomwalk.Config{Kind: spectral.Lazy, Steps: 10, Record: true}, r)
-		paths := make([][]int32, len(walks.Walks))
-		for i, w := range walks.Walks {
-			paths[i] = w.Path
+		paths := make([][]int32, len(src))
+		for i := range paths {
+			paths[i] = walks.Path(i)
 		}
 		res := Schedule(paths)
 		if res.Delivered != len(paths) {

@@ -6,14 +6,17 @@
 // an incident edge. Each edge can carry one token per direction per
 // CONGEST round, so executing one parallel step costs as many rounds as
 // the most loaded directed edge. The engine executes walks step by step,
-// measures that cost exactly, and records token paths so that walks can be
-// re-run in reverse (the paper's mechanism for turning walk endpoints into
-// usable overlay edges) and re-used as embedded routing paths.
+// measures that cost exactly, and records each token's choices so that
+// walks can be replayed, re-run in reverse (the paper's mechanism for
+// turning walk endpoints into usable overlay edges) and re-used as
+// embedded routing paths.
 package randomwalk
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
+	"slices"
 
 	"almostmix/internal/congest"
 	"almostmix/internal/graph"
@@ -67,8 +70,9 @@ type Stats struct {
 type Config struct {
 	Kind  spectral.WalkKind // Lazy or Regular (2Δ-regular)
 	Steps int               // walk length T
-	// Record keeps full paths (needed for reversal/embedding). When
-	// false only endpoints and statistics are tracked.
+	// Record keeps every walk's choices (needed for reversal/embedding),
+	// so Result.Path can replay any trajectory. When false only
+	// endpoints and statistics are tracked.
 	Record bool
 	// Correlated runs the walks in the negatively-correlated fashion
 	// the paper sketches for the k = o(log n) regime (the full-version
@@ -92,15 +96,100 @@ type Config struct {
 
 // Result is the outcome of a parallel walk execution.
 type Result struct {
-	Walks []Walk // full paths if cfg.Record, else length-1 stubs updated to endpoints
 	Ends  []int32
 	Stats Stats
+
+	// A recorded run keeps its sources, the graph's CSR view and the
+	// step-major choice log, from which Path replays any walk.
+	sources []int32
+	csr     *csr
+	log     choiceLog
+}
+
+// Path returns walk i's trajectory: Path(i)[s] is the node occupied after
+// s steps, with lazy steps repeating the node, as in Walk. The walk is
+// replayed from its source through the recorded choice log, so Run must
+// have been called with Config.Record.
+func (r *Result) Path(i int) []int32 {
+	return r.AppendPath(nil, i)
+}
+
+// AppendPath appends walk i's trajectory (see Path) to dst and returns
+// the extended slice, so callers can materialise many walks into one
+// buffer.
+func (r *Result) AppendPath(dst []int32, i int) []int32 {
+	if r.log == nil {
+		panic("randomwalk: Path needs a run with Config.Record")
+	}
+	return r.log.appendPath(dst, r.csr, r.sources[i], i, len(r.sources))
+}
+
+// csr is a flat view of a graph's adjacency: node v's halfedges are
+// off[v]..off[v+1], in Neighbors order, so a halfedge index relative to
+// off[v] is the position in g.Neighbors(v).
+type csr struct {
+	off  []int32 // len n+1
+	to   []int32 // len 2m: the halfedge's head
+	slot []int32 // len 2m: directed-edge slot 2·EdgeID+dir, dir = 1 iff the head is the edge's V
+}
+
+func newCSR(g *graph.Graph) *csr {
+	if g.N() >= math.MaxInt32 || 2*g.M() >= math.MaxInt32 {
+		panic(fmt.Sprintf("randomwalk: graph with %d nodes and %d edges exceeds int32 indexing", g.N(), g.M()))
+	}
+	c := &csr{
+		off:  make([]int32, g.N()+1),
+		to:   make([]int32, 2*g.M()),
+		slot: make([]int32, 2*g.M()),
+	}
+	h := 0
+	for v := 0; v < g.N(); v++ {
+		for _, he := range g.Neighbors(v) {
+			c.to[h] = int32(he.To)
+			dir := int32(0)
+			if g.Edge(he.EdgeID).V == he.To {
+				dir = 1
+			}
+			c.slot[h] = 2*int32(he.EdgeID) + dir
+			h++
+		}
+		c.off[v+1] = int32(h)
+	}
+	return c
+}
+
+// halfLoad is the step engine's per-halfedge state.
+type halfLoad struct{ to, load int32 }
+
+// choice is a choice-log entry: the chosen halfedge's index among the
+// walker's node's halfedges, or the type's maximum value for a stay.
+type choice interface{ ~uint8 | ~uint16 | ~uint32 }
+
+// stepLog is the step-major choice log: entry s·nWalks+i is walk i's
+// choice in step s.
+type stepLog[C choice] []C
+
+// choiceLog hides the log's entry width from Result.
+type choiceLog interface {
+	appendPath(dst []int32, c *csr, v int32, i, stride int) []int32
+}
+
+func (l stepLog[C]) appendPath(dst []int32, c *csr, v int32, i, stride int) []int32 {
+	dst = append(dst, v)
+	for at := i; at < len(l); at += stride {
+		if h := l[at]; h != ^C(0) {
+			v = c.to[c.off[v]+int32(h)]
+		}
+		dst = append(dst, v)
+	}
+	return dst
 }
 
 // Run executes one walk from each entry of sources (sources[i] = start
-// node of walk i) for cfg.Steps parallel steps, and returns trajectories,
-// endpoints and congestion statistics. The rng drives all token decisions;
-// runs are reproducible given the same rng state.
+// node of walk i) for cfg.Steps parallel steps, and returns endpoints,
+// congestion statistics and, with cfg.Record, the choice log Path replays
+// trajectories from. The rng drives all token decisions; runs are
+// reproducible given the same rng state.
 func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	if cfg.Steps < 0 {
 		panic("randomwalk: negative step count")
@@ -108,32 +197,67 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	if cfg.Kind != spectral.Lazy && cfg.Kind != spectral.Regular {
 		panic(fmt.Sprintf("randomwalk: unsupported walk kind %v", cfg.Kind))
 	}
+	// One log byte per choice while every halfedge index fits below the
+	// stay marker; wider graphs get wider entries from the same engine.
+	switch delta := g.MaxDegree(); {
+	case delta < math.MaxUint8:
+		return run[uint8](g, sources, cfg, rng)
+	case delta < math.MaxUint16:
+		return run[uint16](g, sources, cfg, rng)
+	default:
+		return run[uint32](g, sources, cfg, rng)
+	}
+}
+
+// run is the step engine. Per step and walk it draws a halfedge (or a
+// stay), charges the directed edge, moves the token and logs the choice.
+// Random draws match the per-walk reference exactly: for lazy walks
+// Uint64()&1 then IntN(d), for 2Δ-regular walks IntN(2Δ), nothing at
+// isolated nodes; correlated steps draw per node, in node order.
+func run[C choice](g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
+	stay := ^C(0)
+	c := newCSR(g)
+	off, to, slot := c.off, c.to, c.slot
 	nWalks := len(sources)
 	res := &Result{
-		Ends: make([]int32, nWalks),
+		Ends:  slices.Clone(sources),
+		Stats: Stats{PerStepMaxLoad: make([]int, cfg.Steps)},
 	}
-	copy(res.Ends, sources)
+	ends := res.Ends
+	var log stepLog[C]
 	if cfg.Record {
-		res.Walks = make([]Walk, nWalks)
-		for i := range res.Walks {
-			path := make([]int32, 1, cfg.Steps+1)
-			path[0] = sources[i]
-			res.Walks[i].Path = path
-		}
+		log = make(stepLog[C], cfg.Steps*nWalks)
+		res.sources, res.csr, res.log = slices.Clone(sources), c, log
 	}
-	res.Stats.PerStepMaxLoad = make([]int, cfg.Steps)
 
-	delta := g.MaxDegree()
-	edgeLoad := make([]int64, 2*g.M()) // directed: 2*id + dir
-	touched := make([]int, 0, nWalks)
+	lazy := cfg.Kind == spectral.Lazy
+	twoDelta := 2 * g.MaxDegree()
+	// A move reads its halfedge's head and bumps its load: one cache
+	// line. A halfedge is a directed edge, so per-halfedge loads are the
+	// per-directed-edge loads Lemma 2.5 counts.
+	half := make([]halfLoad, len(to))
+	for h := range half {
+		half[h].to = to[h]
+	}
+	touched := make([]int32, 0, min(nWalks, len(to))) // halfedges with load > 0
 	tokensAt := make([]int32, g.N())
 	for _, s := range sources {
 		tokensAt[s]++
 	}
-	res.noteOccupancy(g, tokensAt)
-	var inboxBuf []int // per-node occupancy copy handed to the probe
+	res.noteOccupancy(off, tokensAt)
+	var pick, byNode, nodeStart []int32 // correlated steps: dealt halfedges, tokens bucketed by node
+	if cfg.Correlated {
+		pick = make([]int32, nWalks)
+		byNode = make([]int32, nWalks)
+		nodeStart = make([]int32, g.N()+1)
+	}
+	var inboxBuf []int           // per-node occupancy copy handed to the probe
+	var edgeLoad []int64         // per directed-edge slot, handed to the probe
+	var rec *congest.RoundRecord // refilled every step
 	if cfg.Probe != nil {
 		inboxBuf = make([]int, g.N())
+		edgeLoad = make([]int64, 2*g.M())
+		rec = new(congest.RoundRecord)
 		cfg.Probe.RunStart(congest.RunInfo{
 			Name:    cfg.TraceName,
 			Engine:  "randomwalk",
@@ -144,37 +268,51 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	}
 
 	for step := 0; step < cfg.Steps; step++ {
-		maxLoad, moves := 0, 0
-		applyMove := func(i, v, next, edgeID int) {
-			if next != v {
-				moves++
-				dir := 0
-				if g.Edge(edgeID).V == next {
-					dir = 1
-				}
-				slot := 2*edgeID + dir
-				if edgeLoad[slot] == 0 {
-					touched = append(touched, slot)
-				}
-				edgeLoad[slot]++
-				if int(edgeLoad[slot]) > maxLoad {
-					maxLoad = int(edgeLoad[slot])
-				}
-				tokensAt[v]--
-				tokensAt[next]++
-				res.Ends[i] = int32(next)
-			}
-			if cfg.Record {
-				res.Walks[i].Path = append(res.Walks[i].Path, int32(next))
-			}
+		var row stepLog[C]
+		if cfg.Record {
+			row = log[step*nWalks : (step+1)*nWalks]
 		}
 		if cfg.Correlated {
-			correlatedStep(g, cfg.Kind, res.Ends, delta, rng, applyMove)
-		} else {
-			for i := 0; i < nWalks; i++ {
-				v := int(res.Ends[i])
-				next, edgeID := stepToken(g, cfg.Kind, v, delta, rng)
-				applyMove(i, v, next, edgeID)
+			dealStep(off, cfg.Kind, ends, twoDelta, rng, pick, byNode, nodeStart)
+		}
+		maxLoad, moves := 0, 0
+		for i, v := range ends {
+			lo := off[v]
+			h := int32(-1)
+			switch d := off[v+1] - lo; {
+			case cfg.Correlated:
+				h = pick[i]
+			case d == 0: // isolated node: the token can only stay
+			case lazy:
+				if rng.Uint64()&1 != 0 {
+					h = lo + int32(rng.IntN(int(d)))
+				}
+			default:
+				if r := rng.IntN(twoDelta); r < int(d) {
+					h = lo + int32(r)
+				}
+			}
+			if h < 0 {
+				if row != nil {
+					row[i] = stay
+				}
+				continue
+			}
+			e := &half[h]
+			if e.load == 0 {
+				touched = append(touched, h)
+			}
+			e.load++
+			if l := int(e.load); l > maxLoad {
+				maxLoad = l
+			}
+			next := e.to
+			tokensAt[v]--
+			tokensAt[next]++
+			ends[i] = next
+			moves++
+			if row != nil {
+				row[i] = C(h - lo)
 			}
 		}
 		if maxLoad == 0 {
@@ -182,11 +320,14 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 		}
 		res.Stats.PerStepMaxLoad[step] = maxLoad
 		res.Stats.Rounds += maxLoad
-		res.noteOccupancy(g, tokensAt)
+		res.noteOccupancy(off, tokensAt)
 		if cfg.Probe != nil {
 			// Emit the step record before the edge loads are cleared: one
 			// "round" per walk step, congestion as Lemma 2.5 counts it.
-			rec := &congest.RoundRecord{
+			for _, h := range touched {
+				edgeLoad[slot[h]] = int64(half[h].load)
+			}
+			*rec = congest.RoundRecord{
 				Round:        step + 1,
 				Delivered:    moves,
 				Active:       nWalks,
@@ -204,8 +345,11 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 			}
 			cfg.Probe.RoundEnd(rec)
 		}
-		for _, slot := range touched {
-			edgeLoad[slot] = 0
+		for _, h := range touched {
+			half[h].load = 0
+			if edgeLoad != nil {
+				edgeLoad[slot[h]] = 0
+			}
 		}
 		touched = touched[:0]
 	}
@@ -215,37 +359,43 @@ func Run(g *graph.Graph, sources []int32, cfg Config, rng *rand.Rand) *Result {
 	return res
 }
 
-// correlatedStep advances every token one step with negative correlation:
-// each node deals its resident tokens over a uniformly rotated "deck" of
-// transition slots (d stay slots + d edge slots for the lazy walk;
-// 2Δ−d(v) stay slots + d(v) edge slots for the 2Δ-regular walk), so the
-// per-edge load is at most ⌈tokens/deck⌉ while every token's marginal
-// transition stays exact.
-func correlatedStep(g *graph.Graph, kind spectral.WalkKind, ends []int32, delta int,
-	rng *rand.Rand, applyMove func(i, v, next, edgeID int)) {
-	byNode := make([][]int32, g.N())
-	for i, v := range ends {
-		byNode[v] = append(byNode[v], int32(i))
+// dealStep draws one negatively correlated step: each node deals its
+// resident tokens over a uniformly rotated "deck" of transition slots
+// (d stay slots + d edge slots for the lazy walk; 2Δ−d(v) stay slots +
+// d(v) edge slots for the 2Δ-regular walk), so the per-edge load is at
+// most ⌈tokens/deck⌉ while every token's marginal transition stays
+// exact. pick[i] receives walk i's halfedge, or -1 to stay; byNode and
+// nodeStart are scratch buckets of the tokens by node, in walk order.
+func dealStep(off []int32, kind spectral.WalkKind, ends []int32, twoDelta int, rng *rand.Rand,
+	pick, byNode, nodeStart []int32) {
+	clear(nodeStart)
+	for _, v := range ends {
+		nodeStart[v+1]++
 	}
-	for v, tokens := range byNode {
+	for v := 1; v < len(nodeStart); v++ {
+		nodeStart[v] += nodeStart[v-1]
+	}
+	for i, v := range ends { // stable: each bucket lists its walks in index order
+		byNode[nodeStart[v]] = int32(i)
+		nodeStart[v]++
+	}
+	from := int32(0)
+	for v := 0; v+1 < len(nodeStart); v++ {
+		tokens := byNode[from:nodeStart[v]]
+		from = nodeStart[v]
 		if len(tokens) == 0 {
 			continue
 		}
-		d := g.Degree(v)
+		lo, d := off[v], int(off[v+1]-off[v])
 		if d == 0 {
 			for _, i := range tokens {
-				applyMove(int(i), v, v, -1)
+				pick[i] = -1
 			}
 			continue
 		}
-		var deckSize, stayCount int
-		switch kind {
-		case spectral.Lazy:
-			deckSize, stayCount = 2*d, d
-		case spectral.Regular:
-			deckSize, stayCount = 2*delta, 2*delta-d
-		default:
-			panic("randomwalk: unsupported walk kind")
+		deckSize, stayCount := 2*d, d
+		if kind == spectral.Regular {
+			deckSize, stayCount = twoDelta, twoDelta-d
 		}
 		// Shuffle tokens, then deal them round-robin from a random
 		// deck offset: position in a random permutation plus a uniform
@@ -256,48 +406,21 @@ func correlatedStep(g *graph.Graph, kind spectral.WalkKind, ends []int32, delta 
 		}
 		offset := rng.IntN(deckSize)
 		for j, tok := range tokens {
-			slot := (offset + j) % deckSize
-			if slot < stayCount {
-				applyMove(int(tok), v, v, -1)
-				continue
+			if s := (offset + j) % deckSize; s < stayCount {
+				pick[tok] = -1
+			} else {
+				pick[tok] = lo + int32(s-stayCount)
 			}
-			h := g.Neighbors(v)[slot-stayCount]
-			applyMove(int(tok), v, h.To, h.EdgeID)
 		}
 	}
 }
 
-// stepToken draws one transition of the configured walk from node v and
-// returns the next node and, if moving, the edge used (-1 when staying).
-func stepToken(g *graph.Graph, kind spectral.WalkKind, v, delta int, rng *rand.Rand) (next, edgeID int) {
-	if g.Degree(v) == 0 {
-		return v, -1 // isolated node: the token can only stay
-	}
-	switch kind {
-	case spectral.Lazy:
-		if rng.Uint64()&1 == 0 {
-			return v, -1
-		}
-		h := g.Neighbors(v)[rng.IntN(g.Degree(v))]
-		return h.To, h.EdgeID
-	case spectral.Regular:
-		r := rng.IntN(2 * delta)
-		if r >= g.Degree(v) {
-			return v, -1
-		}
-		h := g.Neighbors(v)[r]
-		return h.To, h.EdgeID
-	default:
-		panic("randomwalk: unsupported walk kind")
-	}
-}
-
-func (r *Result) noteOccupancy(g *graph.Graph, tokensAt []int32) {
+func (r *Result) noteOccupancy(off []int32, tokensAt []int32) {
 	for v, c := range tokensAt {
 		if int(c) > r.Stats.MaxTokensAtNode {
 			r.Stats.MaxTokensAtNode = int(c)
 		}
-		if d := g.Degree(v); d > 0 {
+		if d := off[v+1] - off[v]; d > 0 {
 			if ratio := float64(c) / float64(d); ratio > r.Stats.MaxTokensOverDegree {
 				r.Stats.MaxTokensOverDegree = ratio
 			}
@@ -336,7 +459,8 @@ func UniformCountTimesDegree(g *graph.Graph, k int) []int {
 // sources of their endpoints). By symmetry each reverse step loads edges
 // exactly as the forward step did, so the cost equals replaying the
 // forward schedule; this function recomputes it from the recorded paths
-// for the subset keep of walk indices (nil = all).
+// for the subset keep of walk indices (nil = all). The paths must be
+// walks of g.
 func ReverseDeliveryRounds(g *graph.Graph, walks []Walk, keep []int) int {
 	if keep == nil {
 		keep = make([]int, len(walks))
@@ -353,11 +477,17 @@ func ReverseDeliveryRounds(g *graph.Graph, walks []Walk, keep []int) int {
 			steps = len(walks[i].Path) - 1
 		}
 	}
-	edgeLoad := make(map[int64]int)
+	// Each directed edge is one halfedge of the CSR; with every node's
+	// heads sorted, a binary search finds it.
+	c := newCSR(g)
+	for v := 0; v < g.N(); v++ {
+		slices.Sort(c.to[c.off[v]:c.off[v+1]])
+	}
+	load := make([]int32, len(c.to))
+	touched := make([]int32, 0, min(len(keep), len(c.to)))
 	rounds := 0
 	for s := steps; s >= 1; s-- {
-		clear(edgeLoad)
-		maxLoad := 1
+		maxLoad := int32(1)
 		for _, i := range keep {
 			path := walks[i].Path
 			if s >= len(path) {
@@ -367,13 +497,23 @@ func ReverseDeliveryRounds(g *graph.Graph, walks []Walk, keep []int) int {
 			if from == to {
 				continue
 			}
-			key := int64(from)<<32 | int64(to)
-			edgeLoad[key]++
-			if edgeLoad[key] > maxLoad {
-				maxLoad = edgeLoad[key]
+			heads := c.to[c.off[from]:c.off[from+1]]
+			k, ok := slices.BinarySearch(heads, to)
+			if !ok {
+				panic(fmt.Sprintf("randomwalk: walk %d step %d crosses non-edge (%d,%d)", i, s, from, to))
 			}
+			h := c.off[from] + int32(k)
+			if load[h] == 0 {
+				touched = append(touched, h)
+			}
+			load[h]++
+			maxLoad = max(maxLoad, load[h])
 		}
-		rounds += maxLoad
+		rounds += int(maxLoad)
+		for _, h := range touched {
+			load[h] = 0
+		}
+		touched = touched[:0]
 	}
 	return rounds
 }

@@ -2,6 +2,7 @@ package randomwalk
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +17,8 @@ func TestPathsAreWalks(t *testing.T) {
 		g := graph.RandomRegular(20, 4, r)
 		sources := SourcesPerNode(UniformCountTimesDegree(g, 1))
 		res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 12, Record: true}, r)
-		for _, w := range res.Walks {
+		for i := range sources {
+			w := Walk{Path: res.Path(i)}
 			if len(w.Path) != 13 {
 				return false
 			}
@@ -39,7 +41,8 @@ func TestEndsMatchPaths(t *testing.T) {
 	g := graph.Ring(10)
 	sources := []int32{0, 3, 7}
 	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 20, Record: true}, r)
-	for i, w := range res.Walks {
+	for i := range sources {
+		w := Walk{Path: res.Path(i)}
 		if w.Source() != int(sources[i]) {
 			t.Fatalf("walk %d source %d, want %d", i, w.Source(), sources[i])
 		}
@@ -133,7 +136,7 @@ func TestZeroStepsIsNoop(t *testing.T) {
 	r := rngutil.NewRand(7)
 	g := graph.Ring(5)
 	res := Run(g, []int32{2}, Config{Kind: spectral.Lazy, Steps: 0, Record: true}, r)
-	if res.Stats.Rounds != 0 || res.Ends[0] != 2 || len(res.Walks[0].Path) != 1 {
+	if res.Stats.Rounds != 0 || res.Ends[0] != 2 || len(res.Path(0)) != 1 {
 		t.Fatalf("zero-step run mutated state: %+v", res)
 	}
 }
@@ -156,7 +159,11 @@ func TestReverseDeliveryRounds(t *testing.T) {
 	g := graph.RandomRegular(32, 4, r)
 	sources := SourcesPerNode(UniformCountTimesDegree(g, 2))
 	res := Run(g, sources, Config{Kind: spectral.Lazy, Steps: 20, Record: true}, r)
-	rev := ReverseDeliveryRounds(g, res.Walks, nil)
+	walks := make([]Walk, len(sources))
+	for i := range walks {
+		walks[i].Path = res.Path(i)
+	}
+	rev := ReverseDeliveryRounds(g, walks, nil)
 	if rev <= 0 {
 		t.Fatal("reverse delivery cost not positive")
 	}
@@ -165,7 +172,7 @@ func TestReverseDeliveryRounds(t *testing.T) {
 		t.Fatalf("reverse cost %d far from forward cost %d", rev, res.Stats.Rounds)
 	}
 	// A subset costs no more than the full set.
-	subset := ReverseDeliveryRounds(g, res.Walks, []int{0, 1, 2})
+	subset := ReverseDeliveryRounds(g, walks, []int{0, 1, 2})
 	if subset > rev {
 		t.Fatalf("subset reverse cost %d exceeds full cost %d", subset, rev)
 	}
@@ -178,11 +185,9 @@ func TestDeterministicGivenSeed(t *testing.T) {
 			rngutil.NewRand(99))
 	}
 	a, b := mk(), mk()
-	for i := range a.Walks {
-		for s := range a.Walks[i].Path {
-			if a.Walks[i].Path[s] != b.Walks[i].Path[s] {
-				t.Fatal("same seed produced different walks")
-			}
+	for i := range a.Ends {
+		if !slices.Equal(a.Path(i), b.Path(i)) {
+			t.Fatal("same seed produced different walks")
 		}
 	}
 }
@@ -260,9 +265,10 @@ func TestCorrelatedPathsAreWalks(t *testing.T) {
 	g := graph.RandomRegular(20, 4, r)
 	sources := SourcesPerNode(UniformCountTimesDegree(g, 2))
 	res := Run(g, sources, Config{Kind: spectral.Regular, Steps: 15, Record: true, Correlated: true}, r)
-	for _, w := range res.Walks {
-		for i := 1; i < len(w.Path); i++ {
-			a, b := int(w.Path[i-1]), int(w.Path[i])
+	for w := range sources {
+		path := res.Path(w)
+		for i := 1; i < len(path); i++ {
+			a, b := int(path[i-1]), int(path[i])
 			if a != b && !g.HasEdge(a, b) {
 				t.Fatalf("correlated path uses non-edge (%d,%d)", a, b)
 			}

@@ -79,7 +79,7 @@ func RouteExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 	ex := newExpander(h)
 	paths := make([][]int32, 0, len(reqs))
 	for i := range reqs {
-		path := append([]int32(nil), prep.Walks[i].Path...)
+		path := prep.Path(i)
 		for _, tr := range r.trace[i] {
 			edge := tr.edge
 			if edge < 0 {
