@@ -13,7 +13,22 @@ BENCHTIME ?= 1s
 # engine-scale point (BENCHSUITE_FLAGS="-gate" make bench-json).
 BENCHSUITE_FLAGS ?= -quick -gate
 
-.PHONY: build vet test race check bench bench-json bench-scale fuzz smoke faults tcp-suite fault-tcp-suite decomp-suite obs-suite perfbench-selftest
+# Race-suite selections: a package list and a -run pattern per suite.
+# `make suites-lint` checks that every |-alternative of every pattern
+# still matches at least one test in its packages, so renaming or moving
+# a test cannot silently drop it from a suite.
+FAULTS_PKGS = ./internal/faults ./internal/congest ./internal/transport/workloads
+FAULTS_RUN = Fault|Crash|Sever|Delayed
+TCP_PKGS = ./internal/transport/... ./internal/congest
+TCP_RUN = TestDifferentialSuite|TestProcMatchesDirectEngine|TestRealProcess|TestShardDeath|TestShardStall|TestDialShard|TestTCPValidates|TestFrame|TestNewShard|TestShardInject|TestConfigure
+FAULT_TCP_PKGS = ./internal/transport ./internal/transport/workloads
+FAULT_TCP_RUN = TestGoldenFaultParityOverTCP|TestCrossShardFaultCountsSumToProc|TestWalksFaultsMatchesInProcessDriver|TestGHSFaultsMatchesInProcessDriver|TestWholeShardCrashRecoversOverTCP|TestGHSRecoveryAfterShardCrashOverTCP|TestPlainWorkloadsRejectFaultSpec|FuzzParseFateTable|TestWalksFaults|TestGHSFaults
+OBS_PKGS = ./internal/flightrec ./internal/transport
+OBS_RUN = TestObs|TestTelemetry|TestFlightRec|TestShardDeath|TestShardStall|TestNilRecorder|TestRing|TestPartialRing|TestAttribute|TestValidate|TestDump|TestWriteDump|TestConcurrentRecord|TestDefaultCapacity
+DECOMP_PKGS = ./internal/decomp ./internal/embed ./internal/route ./internal/mst
+DECOMP_RUN = TestDecomp|TestBuildPartitioned|TestBuildDisconnectedError|TestRoutePartitioned|TestRunPartitioned
+
+.PHONY: build vet test race check bench bench-json bench-scale fuzz smoke faults tcp-suite fault-tcp-suite decomp-suite obs-suite perfbench-selftest suites-lint
 
 build:
 	go build ./...
@@ -29,9 +44,10 @@ race:
 
 # The fault-injection suite, race-instrumented and never shortened: the
 # differential fault tests are the determinism contract for the fault
-# layer across both engines and all worker counts.
+# layer across both engines and all worker counts, and the retry-driver
+# tests hold the walks and GHS recovery stories on every worker count.
 faults:
-	go test -race -run 'Fault|Crash|Sever|Delayed' ./internal/faults ./internal/congest ./internal/randomwalk ./internal/mstbase
+	go test -race -run '$(FAULTS_RUN)' $(FAULTS_PKGS)
 
 check: vet test race faults
 
@@ -47,16 +63,16 @@ smoke:
 # errors within the deadline. The hard -timeout keeps a wedged coordinator
 # from hanging CI.
 tcp-suite:
-	go test -race -timeout 300s ./internal/transport/... ./internal/congest -run 'TestDifferentialSuite|TestProcMatchesDirectEngine|TestRealProcess|TestShardDeath|TestShardStall|TestDialShard|TestTCPValidates|TestFrame|TestNewShard|TestShardInject|TestConfigure'
+	go test -race -timeout 300s $(TCP_PKGS) -run '$(TCP_RUN)'
 
 # The faults-over-the-wire suite, race-instrumented and never shortened:
 # the fate-table codec, the golden fault traces (reused from
 # internal/congest/testdata/golden) byte-identical over proc and tcp at
 # shards 1/2/4, per-shard fault counts summing to the in-process totals,
-# and the walk re-issue / windowed-GHS recovery stories end-to-end over
-# real processes including a killed-and-recovering shard.
+# and the walk re-issue / windowed-GHS recovery stories pinned by their
+# goldens over proc and tcp, including a killed-and-recovering shard.
 fault-tcp-suite:
-	go test -race -timeout 300s ./internal/transport -run 'TestGoldenFaultParityOverTCP|TestCrossShardFaultCountsSumToProc|TestWalksFaultsMatchesInProcessDriver|TestGHSFaultsMatchesInProcessDriver|TestWholeShardCrashRecoversOverTCP|TestGHSRecoveryAfterShardCrashOverTCP|TestPlainWorkloadsRejectFaultSpec|TestFateTable|TestParseFateTable'
+	go test -race -timeout 300s $(FAULT_TCP_PKGS) -run '$(FAULT_TCP_RUN)'
 	go test -race ./internal/faults
 
 # The observability suite, race-instrumented and never shortened: the
@@ -67,7 +83,7 @@ fault-tcp-suite:
 # differential guarantee that full telemetry leaves trace bytes identical
 # across backends and worker counts.
 obs-suite:
-	go test -race -timeout 300s ./internal/flightrec ./internal/transport -run 'TestObs|TestTelemetry|TestFlightRec|TestShardDeath|TestShardStall|TestNilRecorder|TestRing|TestPartialRing|TestAttribute|TestValidate|TestDump|TestWriteDump|TestConcurrentRecord|TestDefaultCapacity'
+	go test -race -timeout 300s $(OBS_PKGS) -run '$(OBS_RUN)'
 
 # The cluster-scoped-tier suite, race-instrumented and never shortened:
 # the decomposition must be byte-identical across worker counts, the
@@ -75,7 +91,17 @@ obs-suite:
 # stitched MST must reproduce Kruskal's exact edge set (the correctness
 # contract of DESIGN.md §3's decomposition section).
 decomp-suite:
-	go test -race -timeout 300s ./internal/decomp ./internal/embed ./internal/route ./internal/mst -run 'TestDecomp|TestBuildPartitioned|TestBuildDisconnectedError|TestRoutePartitioned|TestRunPartitioned'
+	go test -race -timeout 300s $(DECOMP_PKGS) -run '$(DECOMP_RUN)'
+
+# Every -run alternative of every race suite above must match at least
+# one test (go test -list), so suite selection cannot drift when tests are
+# renamed or moved.
+suites-lint:
+	sh scripts/suites-lint.sh faults '$(FAULTS_RUN)' $(FAULTS_PKGS)
+	sh scripts/suites-lint.sh tcp-suite '$(TCP_RUN)' $(TCP_PKGS)
+	sh scripts/suites-lint.sh fault-tcp-suite '$(FAULT_TCP_RUN)' $(FAULT_TCP_PKGS)
+	sh scripts/suites-lint.sh obs-suite '$(OBS_RUN)' $(OBS_PKGS)
+	sh scripts/suites-lint.sh decomp-suite '$(DECOMP_RUN)' $(DECOMP_PKGS)
 
 # The repository benchmark's self-test (perfbench is a module of its own,
 # outside ./...): metric names against BENCHMARK.json, repeatable counts,

@@ -172,16 +172,11 @@ func MSTBaselineKP(g *Graph) (*BaselineResult, error) { return mstbase.KP(g) }
 // MSTBaselineGHSNetwork runs synchronous Borůvka as genuine node programs
 // on the CONGEST simulator — every message is simulated and the round
 // count is measured, the full-fidelity counterpart of MSTBaselineGHS.
-func MSTBaselineGHSNetwork(g *Graph, seed uint64) (*BaselineResult, error) {
-	return mstbase.GHSNetwork(g, rngutil.NewSource(seed))
-}
-
-// MSTBaselineGHSNetworkParallel is MSTBaselineGHSNetwork on the parallel
-// round engine with the given worker count (1 = sequential reference,
-// <= 0 = one worker per CPU). Rounds and results are bit-identical for
-// every worker count; only wall-clock time changes.
-func MSTBaselineGHSNetworkParallel(g *Graph, seed uint64, workers int) (*BaselineResult, error) {
-	return mstbase.GHSNetworkParallel(g, rngutil.NewSource(seed), workers)
+// workers selects the round engine (1 = sequential reference, <= 0 = one
+// worker per CPU); rounds and results are bit-identical for every worker
+// count, only wall-clock time changes.
+func MSTBaselineGHSNetwork(g *Graph, seed uint64, workers int) (*BaselineResult, error) {
+	return mstbase.GHSNetwork(g, rngutil.NewSource(seed), workers, nil, nil)
 }
 
 // EmulateClique delivers one message between every ordered node pair via

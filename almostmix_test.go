@@ -185,7 +185,7 @@ func TestCliqueApplications(t *testing.T) {
 
 func TestNodeProgramGHS(t *testing.T) {
 	f := fixture(t)
-	res, err := MSTBaselineGHSNetwork(f.g, 32)
+	res, err := MSTBaselineGHSNetwork(f.g, 32, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

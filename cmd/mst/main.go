@@ -203,9 +203,8 @@ func run(audit, ghsnet, quick bool, seed uint64, workers int, trace, faultSpec s
 				return err
 			}
 			out := res.Output.(workloads.MSTOutput)
-			window := 3*inst.g.N() + 6
 			_, want := mst.Kruskal(inst.g)
-			nt.AddRow(inst.name, inst.g.N(), res.Rounds, (res.Rounds+window-1)/window, out.Weight == want)
+			nt.AddRow(inst.name, inst.g.N(), res.Rounds, mstbase.GHSIterations(inst.g.N(), res.Rounds), out.Weight == want)
 		}
 		fmt.Println(nt)
 		fmt.Println("Round counts are engine- and transport-independent: -workers and")

@@ -40,6 +40,13 @@ func normalizeWorkers(w int) int {
 	return w
 }
 
+// ShardBounds is the contiguous node split shared by the parallel engine's
+// workers and the TCP backend's shard processes: shard i of k owns nodes
+// [i·n/k, (i+1)·n/k).
+func ShardBounds(n, k, i int) (lo, hi int) {
+	return i * n / k, (i + 1) * n / k
+}
+
 // pad keeps per-worker counters on distinct cache lines.
 const pad = 8
 
@@ -124,8 +131,8 @@ func (n *Network) runParallel(maxRounds, workers int, quiet bool) (int, error) {
 		n.probeDrainEvents() // marks/halts emitted during Init, round 0
 	}
 	bounds := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		bounds[w] = w * nNodes / workers
+	for w := 0; w < workers; w++ {
+		bounds[w], bounds[w+1] = ShardBounds(nNodes, workers, w)
 	}
 	delivered := make([]int, workers*pad)
 

@@ -3,7 +3,8 @@ package congest
 // Tests of the fault-injection layer: the differential contract (a fixed
 // (seed, spec) pair reproduces a bit-identical faulty execution on both
 // engines and every worker count), the empty-plan byte-identity guarantee,
-// the crash/recovery and sever semantics, the fault counters' journey
+// the crash/recovery and sever semantics (a pending recovery blocks quiet
+// exit), the fault counters' journey
 // through probe records and metrics, the pinned Halt-round send contract,
 // and the int32 edge-load wraparound regression.
 
@@ -294,6 +295,48 @@ func TestCrashSemantics(t *testing.T) {
 	}
 	if tot.Crashed != 2 {
 		t.Fatalf("crashed node-rounds = %d, want 2", tot.Crashed)
+	}
+}
+
+// TestCrashRecoveryBlocksQuietExit pins the quiet rule under crashes: a
+// node holding a token crashes before forwarding it, so the network goes
+// silent while it is down, yet RunUntilQuiet must not stop there — the
+// pending recovery keeps the run alive and the token is forwarded once the
+// node steps again.
+func TestCrashRecoveryBlocksQuietExit(t *testing.T) {
+	g := graph.Path(3) // 0-1-2; node 1 crashes rounds 2..4, recovers at 5
+	plan := faults.New(1).WithCrash(1, 2, 3)
+	pending := false
+	got := 0
+	net := NewUniformNetwork(g, func(v int) Program {
+		return programFunc{
+			init: func(ctx *Ctx) {
+				if ctx.ID() == 0 {
+					ctx.Send(0, "token")
+				}
+			},
+			step: func(ctx *Ctx, inbox []Inbound) {
+				switch ctx.ID() {
+				case 1:
+					if len(inbox) > 0 {
+						pending = true
+						return // forward on the next step
+					}
+					if pending {
+						pending = false
+						ctx.Send(1, "token") // toward node 2
+					}
+				case 2:
+					got += len(inbox)
+				}
+			},
+		}
+	}, rngutil.NewSource(1)).SetFaults(plan)
+	if _, err := net.RunUntilQuiet(50); err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
+		t.Fatalf("node 2 received %d tokens, want 1 (recovery round never executed?)", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"almostmix/internal/congest"
+	"almostmix/internal/faults"
 	"almostmix/internal/graph"
 	"almostmix/internal/metrics"
 	"almostmix/internal/rngutil"
@@ -446,65 +447,91 @@ func (p *ghsNode) forwardAdoption(ctx *congest.Ctx, fromPort int) {
 	}
 }
 
+// GHSWindow is the length in rounds of one Borůvka window of the node
+// program on n nodes (layout above).
+func GHSWindow(n int) int { return 3*n + 6 }
+
+// GHSIterations converts the round count of a node-program GHS run on n
+// nodes into Borůvka iterations: the windows the run opened, the last
+// one possibly partial.
+func GHSIterations(n, rounds int) int {
+	w := GHSWindow(n)
+	return (rounds + w - 1) / w
+}
+
+// GHSPrograms returns the per-node synchronous Borůvka/GHS programs for
+// g and their round budget. Run them to completion with Run (not
+// RunUntilQuiet) and collect the chosen MST edges with GHSChosenEdges.
+//
+// A nil or empty plan builds the plain algorithm. Any fault rule enables
+// the defensive machinery (window stamping, per-port dedup, poisoning,
+// label repair) and stretches the budget: faulted windows stall and
+// retry, delays stretch phases, and crashed nodes sit out until recovery.
+func GHSPrograms(g *graph.Graph, plan *faults.Plan) (programs []congest.Program, maxRounds int) {
+	run := &ghsRun{window: GHSWindow(g.N()), faulty: plan != nil && !plan.Empty()}
+	programs = make([]congest.Program, g.N())
+	for v := range programs {
+		programs[v] = &ghsNode{run: run}
+	}
+	iterBudget := 2*log2int(g.N()) + 4
+	if !run.faulty {
+		return programs, run.window*iterBudget + 2
+	}
+	return programs, run.window*(iterBudget+6) + plan.MaxDelay() + plan.RecoverySlack()
+}
+
+// GHSChosenEdges returns the MST edge IDs chosen by nodes [lo, hi) of a
+// GHSPrograms run, in node order with per-node emission order kept and
+// no cross-node dedup. Concatenating the streams of consecutive ranges
+// and passing them through DedupEdges yields the run's MST edge list.
+func GHSChosenEdges(programs []congest.Program, lo, hi int) []int {
+	var edges []int
+	for v := lo; v < hi; v++ {
+		edges = append(edges, programs[v].(*ghsNode).chosen...)
+	}
+	return edges
+}
+
+// DedupEdges keeps the first occurrence of every edge ID, in order. Both
+// endpoints of a mutually chosen core edge record it, so a raw
+// GHSChosenEdges stream lists such edges twice.
+func DedupEdges(raw []int) []int {
+	var edges []int
+	seen := make(map[int]struct{}, len(raw))
+	for _, id := range raw {
+		if _, dup := seen[id]; !dup {
+			seen[id] = struct{}{}
+			edges = append(edges, id)
+		}
+	}
+	return edges
+}
+
 // GHSNetwork runs the node-program synchronous Borůvka on g and returns
 // the MST with the simulator-measured round count. Weights should be
-// distinct.
-func GHSNetwork(g *graph.Graph, src *rngutil.Source) (*Result, error) {
-	return GHSNetworkParallel(g, src, 1)
-}
-
-// GHSNetworkParallel runs GHSNetwork on the simulator's sharded parallel
-// engine with the given worker count (1 = the sequential reference engine,
-// <= 0 = one worker per CPU). The result — tree, rounds, message-level
-// schedule — is bit-identical for every worker count; only wall-clock time
-// changes.
-func GHSNetworkParallel(g *graph.Graph, src *rngutil.Source, workers int) (*Result, error) {
-	return GHSNetworkProbe(g, src, workers, nil)
-}
-
-// GHSNetworkProbe runs like GHSNetworkParallel with a probe attached to
-// the simulator (see congest.Probe): the probe sees every round's
-// delivery profile plus a phase mark per Borůvka window, emitted by node
-// 0 at each window boundary. A nil probe is identical to
-// GHSNetworkParallel.
-func GHSNetworkProbe(g *graph.Graph, src *rngutil.Source, workers int, probe congest.Probe) (*Result, error) {
-	return GHSNetworkObserved(g, src, workers, probe, nil)
-}
-
-// GHSNetworkObserved runs like GHSNetworkProbe with a host-metrics
-// registry additionally attached to the simulator (per-round wall time,
-// throughput, worker busy/idle). Nil probe and nil registry are both
-// valid and independent.
-func GHSNetworkObserved(g *graph.Graph, src *rngutil.Source, workers int, probe congest.Probe, reg *metrics.Registry) (*Result, error) {
+// distinct. workers selects the engine (1 = the sequential reference,
+// > 1 the sharded parallel engine, <= 0 one worker per CPU); the tree,
+// rounds and message-level schedule are bit-identical for every value.
+// probe (see congest.Probe) sees every round's delivery profile plus a
+// phase mark per Borůvka window, emitted by node 0 at each window
+// boundary; reg records host metrics. Both may be nil.
+func GHSNetwork(g *graph.Graph, src *rngutil.Source, workers int, probe congest.Probe, reg *metrics.Registry) (*Result, error) {
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("mstbase: %w", graph.ErrDisconnected)
 	}
-	run := &ghsRun{window: 3*g.N() + 6}
-	nodes := make([]*ghsNode, g.N())
-	net := congest.NewUniformNetwork(g, func(v int) congest.Program {
-		nodes[v] = &ghsNode{run: run}
-		return nodes[v]
-	}, src).SetWorkers(workers).SetProbe(probe).SetMetrics(reg)
-	iterBudget := 2*log2int(g.N()) + 4
-	rounds, err := net.Run(run.window*iterBudget + 2)
+	programs, maxRounds := GHSPrograms(g, nil)
+	net := congest.NewNetwork(g, programs, src).SetWorkers(workers).SetProbe(probe).SetMetrics(reg)
+	rounds, err := net.Run(maxRounds)
 	if err != nil {
 		return nil, fmt.Errorf("mstbase: GHSNetwork: %w", err)
 	}
-	res := &Result{
+	edges := DedupEdges(GHSChosenEdges(programs, 0, g.N()))
+	return &Result{
+		Edges:      edges,
+		Weight:     g.TotalWeight(edges),
 		Rounds:     rounds,
-		Iterations: (rounds + run.window - 1) / run.window,
-	}
-	seen := make(map[int]struct{}, g.N()-1)
-	for _, node := range nodes {
-		for _, id := range node.chosen {
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				res.Edges = append(res.Edges, id)
-			}
-		}
-	}
-	res.Weight = g.TotalWeight(res.Edges)
-	return res, nil
+		Iterations: GHSIterations(g.N(), rounds),
+	}, nil
 }
 
 func log2int(n int) int {

@@ -262,8 +262,8 @@ func (c *coordinator) run() (res Result, err error) {
 	k := c.tcp.Shards
 	n := c.inst.Graph.N()
 	c.bounds = make([]int, k+1)
-	for i := 0; i <= k; i++ {
-		c.bounds[i] = i * n / k
+	for i := 0; i < k; i++ {
+		c.bounds[i], c.bounds[i+1] = congest.ShardBounds(n, k, i)
 	}
 	c.pending = make([][]wireSend, k)
 	c.pendingBuf = make([][]byte, k)

@@ -48,10 +48,10 @@ func (p Proc) Run(spec Spec, opts Options) (Result, error) {
 	} else {
 		rounds, err = net.Run(inst.MaxRounds)
 	}
-	// A round-limit exit still harvests: fault-tolerant retry drivers
-	// inspect the partial output (and totals) of a budget-exhausted
-	// attempt, exactly as the in-process drivers read program state after
-	// tolerating ErrRoundLimit. Other errors return nothing.
+	// A round-limit exit still harvests: the GHS retry driver inspects
+	// the partial output (and totals) of a budget-exhausted attempt,
+	// whose chosen edges may already form the MST. Other errors return
+	// nothing.
 	if err != nil && !errors.Is(err, congest.ErrRoundLimit) {
 		return Result{}, err
 	}

@@ -81,13 +81,6 @@ func telemetryFromTally(shard int, t *connTally, dump flightrec.Dump) wireTeleme
 	return wt
 }
 
-// shardBounds is the contiguous node split shared by the coordinator
-// and every shard process: shard i owns [i·n/k, (i+1)·n/k) — the same
-// split the in-process parallel engine uses.
-func shardBounds(n, shards, i int) (lo, hi int) {
-	return i * n / shards, (i + 1) * n / shards
-}
-
 // cursor is a parsing cursor over one frame payload; the first error
 // sticks and every later read returns zero values, so parse functions
 // can chain reads and check once.

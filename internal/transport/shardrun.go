@@ -105,7 +105,7 @@ func ServeShard(conn net.Conn, shard int, cfg ShardConfig) error {
 	if err != nil {
 		return err
 	}
-	lo, hi := shardBounds(inst.Graph.N(), ws.Shards, shard)
+	lo, hi := congest.ShardBounds(inst.Graph.N(), ws.Shards, shard)
 	net := congest.NewNetwork(inst.Graph, inst.Programs, inst.Source)
 	if inst.Faults != nil {
 		// The replica's plan replays crash/sever schedules from the spec;

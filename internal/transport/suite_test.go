@@ -108,7 +108,7 @@ func TestDifferentialSuite(t *testing.T) {
 
 // TestProcMatchesDirectEngine pins the cmd-level refactor: routing the
 // walks workload through the Transport interface must reproduce the
-// direct RunNetworkObserved call bit for bit, trace included.
+// direct RunNetwork call bit for bit, trace included.
 func TestProcMatchesDirectEngine(t *testing.T) {
 	spec := transport.Spec{Workload: "walks", Graph: "rr", N: 32, D: 4, K: 2, Steps: 8, Seed: 7, SrcSeed: 107}
 	got, res := traceRun(t, transport.Proc{Workers: 1}, spec, "direct")
@@ -118,7 +118,7 @@ func TestProcMatchesDirectEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := congest.NewTraceSink()
-	direct, err := randomwalk.RunNetworkObserved(g, randomwalk.UniformCountTimesDegree(g, spec.K),
+	direct, err := randomwalk.RunNetwork(g, randomwalk.UniformCountTimesDegree(g, spec.K),
 		spec.Steps, rngutil.NewSource(spec.SrcSeed), 1, sink.Label("direct"), nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,64 +1,103 @@
 package workloads
 
-// Transport-level retry drivers for the fault-aware workloads. Each
-// mirrors its in-process counterpart exactly — RunWalksFaults is
-// randomwalk.RunNetworkFaults with tr.Run as the attempt executor,
-// RunGHSFaults is mstbase.GHSNetworkFaults — so running them over Proc
-// reproduces the in-process drivers bit-for-bit, and running them over
-// TCP reproduces Proc (the differential suite's fault legs assert
-// both). The cross-attempt state travels in the Spec: the derived
-// per-attempt fault seed in FaultSeed, the attempt index in Retry
-// (offsetting the program RNG stream only), and for walks the re-issue
-// counts and sequence bases in WalkCounts/WalkSeqBase.
+// The retry drivers of the fault-aware workloads, run over any
+// Transport: Proc for the in-process engines, TCP for shard processes,
+// with identical results. Each attempt is one tr.Run of the workload's
+// single-attempt builder; the cross-attempt state travels in the Spec:
+// the derived per-attempt fault seed in FaultSeed, the attempt index in
+// Retry (offsetting the program RNG stream only), and for walks the
+// re-issue counts and sequence bases in WalkCounts/WalkSeqBase. A whole
+// faulty execution is a pure function of (spec, fault spec, fault seed)
+// and bit-identical across backends, engines and worker counts.
+//
+// Walks: tokens are identified by (origin, sequence), an attempt runs
+// until the network falls silent (with the fault layer's quiet rules,
+// silence means no token is in flight or delayed and no crashed node is
+// due to recover), and every issued token not absorbed by then is a
+// casualty of a drop, sever or crash and is re-issued from its origin on
+// the next attempt.
+//
+// GHS: the node program's defensive machinery (window stamping,
+// per-port dedup, poisoning, label repair; see mstbase) makes a faulted
+// window stall and retry rather than commit a corrupt choice, so most
+// fault patterns heal in-run. The driver adds the outer story: each
+// attempt's chosen edges are validated against the centralized GHS
+// oracle (weights are distinct, so the MST is unique), and an attempt
+// that stalled past its round budget or produced a non-MST edge set (in
+// rare multi-fault corners, e.g. label splits straddling an uncommitted
+// core edge) restarts from scratch with a derived RNG stream.
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"almostmix/internal/congest"
+	"almostmix/internal/faults"
 	"almostmix/internal/mstbase"
 	"almostmix/internal/randomwalk"
 	"almostmix/internal/rngutil"
 	"almostmix/internal/transport"
 )
 
+// FaultyWalkResult extends NetworkWalkResult with the retry accounting
+// of a faulty walk run. Rounds and Messages accumulate over all
+// attempts.
+type FaultyWalkResult struct {
+	randomwalk.NetworkWalkResult
+	// Attempts is the number of network runs executed (1 = first attempt
+	// already delivered every token).
+	Attempts int
+	// Reissued counts tokens re-issued after being lost to faults.
+	Reissued int
+	// Lost counts tokens still unabsorbed when the attempt budget ran
+	// out; 0 means every walk completed.
+	Lost int
+	// Faults aggregates the injected fault events over all attempts.
+	Faults faults.Counts
+}
+
+// FaultyMSTResult extends mstbase.Result with the retry accounting of a
+// faulty GHS run. Rounds and Iterations accumulate over all attempts.
+type FaultyMSTResult struct {
+	mstbase.Result
+	// Attempts is the number of network runs executed (1 = the first
+	// attempt already produced the MST).
+	Attempts int
+	// Recovered reports whether the final attempt's edge set is exactly
+	// the MST. When false, Edges and Weight are zero — the attempt budget
+	// ran out before the algorithm converged.
+	Recovered bool
+	// Faults aggregates the injected fault events over all attempts.
+	Faults faults.Counts
+}
+
 // RunWalksFaults runs the walks-faults workload over tr for up to
-// maxAttempts attempts (maxAttempts < 1 means 1), re-issuing tokens
-// lost to faults exactly like randomwalk.RunNetworkFaults: tokens are
-// identified by (origin, sequence), an attempt runs until the network
-// falls silent, and every issued token not absorbed by then is
-// re-issued from its origin with a fresh sequence number. Spec's
+// maxAttempts attempts (maxAttempts < 1 means 1), re-issuing tokens lost
+// to faults under fresh sequence numbers. An empty FaultSpec reduces to
+// the plain walk run with retry accounting around it. Spec's
 // Workload/Retry/WalkCounts/WalkSeqBase fields are owned by the driver
 // and overwritten; FaultSeed seeds the per-attempt derivation.
-func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.Options, maxAttempts int) (*randomwalk.FaultyWalkResult, error) {
+func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.Options, maxAttempts int) (*FaultyWalkResult, error) {
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Steps < 0 {
-		return nil, fmt.Errorf("workloads: walks-faults needs steps ≥ 0, got %d", spec.Steps)
-	}
-	counts := spec.WalkCounts
-	if counts == nil {
-		if spec.K < 1 {
-			return nil, fmt.Errorf("workloads: walks-faults needs k ≥ 1 walks per degree (or explicit walk_counts), got %d", spec.K)
-		}
-		counts = randomwalk.UniformCountTimesDegree(g, spec.K)
-	} else if len(counts) != g.N() {
-		return nil, fmt.Errorf("workloads: walks-faults got %d walk_counts for %d nodes", len(counts), g.N())
+	counts, err := walkCounts(spec, g)
+	if err != nil {
+		return nil, err
 	}
 	if maxAttempts < 1 {
 		maxAttempts = 1
 	}
 	faultSrc := rngutil.NewSource(spec.FaultSeed)
 
-	res := &randomwalk.FaultyWalkResult{}
+	res := &FaultyWalkResult{}
 	res.ArrivedAt = make([]int, g.N())
 
 	// outstanding tracks every issued-but-unabsorbed token; issue[v] and
-	// seqBase[v] describe the tokens node v injects on the next attempt —
-	// the same bookkeeping as RunNetworkFaults, shipped through the spec.
+	// nextSeq[v]-issue[v] give the count and first sequence number of the
+	// tokens node v injects on the next attempt.
 	outstanding := make(map[randomwalk.WalkTokenID]struct{})
 	nextSeq := make([]int, g.N())
 	issue := make([]int, g.N())
@@ -105,7 +144,9 @@ func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.
 			}
 		}
 		// Whatever is still outstanding was lost: re-issue it from its
-		// origin on the next attempt under fresh sequence numbers.
+		// origin on the next attempt. The lost IDs are retired and fresh
+		// sequence numbers minted, so a straggling duplicate of a lost
+		// token can never masquerade as its replacement.
 		for v := range issue {
 			issue[v] = 0
 		}
@@ -131,13 +172,12 @@ func RunWalksFaults(tr transport.Transport, spec transport.Spec, opts transport.
 
 // RunGHSFaults runs the ghs-faults workload over tr for up to
 // maxAttempts attempts (maxAttempts < 1 means 1), restarting from
-// scratch exactly like mstbase.GHSNetworkFaults: each attempt's merged
-// edge set is validated against the centralized GHS oracle, a
-// round-limited attempt is still checked (its harvest may hold the
-// MST), and a failed attempt reruns with a derived fault seed and a
-// Retry-offset program RNG. Spec's Workload/Retry fields are owned by
-// the driver; FaultSeed seeds the per-attempt derivation.
-func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Options, maxAttempts int) (*mstbase.FaultyMSTResult, error) {
+// scratch until an attempt's merged edge set equals the centralized
+// oracle's MST. A round-limited attempt is still checked (its harvest
+// may hold the MST). An empty FaultSpec reduces to the plain GHS run
+// with retry accounting around it. Spec's Workload/Retry fields are
+// owned by the driver; FaultSeed seeds the per-attempt derivation.
+func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Options, maxAttempts int) (*FaultyMSTResult, error) {
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
 		return nil, err
@@ -150,20 +190,22 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 		return nil, err
 	}
 	want := append([]int(nil), ref.Edges...)
-	sort.Ints(want)
+	slices.Sort(want)
 
 	faultSrc := rngutil.NewSource(spec.FaultSeed)
-	window := 3*g.N() + 6
-	res := &mstbase.FaultyMSTResult{}
+	res := &FaultyMSTResult{}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		aspec := spec
 		aspec.Workload = "ghs-faults"
 		aspec.FaultSeed = faultSrc.Derive("attempt", uint64(attempt))
 		aspec.Retry = attempt
 		run, rerr := tr.Run(aspec, opts)
-		// A round-limited attempt is not necessarily a failure: the
-		// backends harvest it (partial output and totals included) and the
-		// oracle check, not the error, decides. Anything else is fatal.
+		// A round-limited attempt is not necessarily a failure: when the
+		// "none" decision is partially dropped, some nodes halt while the
+		// rest stall against their silence, with the MST already chosen.
+		// The backends harvest such an attempt (partial output and totals
+		// included) and the oracle check, not the error, decides.
+		// Anything else is fatal.
 		if rerr != nil && !errors.Is(rerr, congest.ErrRoundLimit) {
 			return nil, fmt.Errorf("workloads: ghs-faults attempt %d: %w", attempt, rerr)
 		}
@@ -172,13 +214,13 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 			return nil, fmt.Errorf("workloads: ghs-faults attempt %d returned %T", attempt, run.Output)
 		}
 		res.Rounds += run.Rounds
-		res.Iterations += (run.Rounds + window - 1) / window
+		res.Iterations += mstbase.GHSIterations(g.N(), run.Rounds)
 		res.Faults.Add(run.Faults)
 		res.Attempts++
 
 		got := append([]int(nil), out.Edges...)
-		sort.Ints(got)
-		if intsEqual(got, want) {
+		slices.Sort(got)
+		if slices.Equal(got, want) {
 			res.Recovered = true
 			res.Edges = got
 			res.Weight = g.TotalWeight(got)
@@ -188,25 +230,13 @@ func RunGHSFaults(tr transport.Transport, spec transport.Spec, opts transport.Op
 	return res, nil
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CrashShardSpec builds a fault-spec clause crashing every node of
-// shard i (of shards over n nodes) at round at, recovering after dur
-// rounds — the "kill a whole shard and let it come back" scenario the
-// TCP fault suite runs end-to-end. Compose with other clauses by
-// joining with commas.
+// shard i (of shards over n nodes, split by congest.ShardBounds like
+// the TCP backend) at round at, recovering after dur rounds: the "kill
+// a whole shard and let it come back" scenario the TCP fault suite runs
+// end-to-end. Compose with other clauses by joining with commas.
 func CrashShardSpec(n, shards, i, at, dur int) string {
-	lo, hi := i*n/shards, (i+1)*n/shards // the TCP backend's shard layout
+	lo, hi := congest.ShardBounds(n, shards, i)
 	spec := ""
 	for v := lo; v < hi; v++ {
 		if spec != "" {

@@ -10,8 +10,7 @@
 // reject one instead of silently ignoring it, because their programs
 // carry no retry identity and their budgets no fault slack. The
 // fault-aware workloads describe ONE attempt each; RunWalksFaults and
-// RunGHSFaults (faultrun.go) add the cross-attempt retry story on top,
-// mirroring the in-process drivers exactly.
+// RunGHSFaults (faultrun.go) add the cross-attempt retry story on top.
 //
 // Import for side effects from binaries and tests that resolve
 // workloads by name.
@@ -43,8 +42,8 @@ type BroadcastOutput struct {
 	Got int
 }
 
-// MSTOutput is the merged outcome of the "ghs" workload. Iterations is
-// derived by callers from Result.Rounds and the phase window 3n+6.
+// MSTOutput is the merged outcome of the "ghs" workload. Callers derive
+// iterations from Result.Rounds with mstbase.GHSIterations.
 type MSTOutput struct {
 	Edges  []int
 	Weight float64
@@ -247,7 +246,7 @@ func buildGHS(spec transport.Spec) (*transport.Instance, error) {
 	if !g.IsConnected() {
 		return nil, fmt.Errorf("workloads: ghs needs a connected graph")
 	}
-	programs, maxRounds := mstbase.GHSPrograms(g)
+	programs, maxRounds := mstbase.GHSPrograms(g, nil)
 	return &transport.Instance{
 		Graph:     g,
 		Programs:  programs,
@@ -271,11 +270,11 @@ func ghsFinish(programs []congest.Program) func(lo, hi int) []byte {
 	}
 }
 
-// ghsMerge combines the shard-ordered chosen-edge streams. First-seen
-// dedup reproduces GHSNetworkObserved's edge list exactly.
+// ghsMerge combines the shard-ordered chosen-edge streams into the
+// run's MST edge list with mstbase.DedupEdges, exactly as GHSNetwork
+// does in-process.
 func ghsMerge(g *graph.Graph, parts [][]byte) (any, error) {
-	out := MSTOutput{}
-	seen := make(map[int]bool)
+	var raw []int
 	for _, part := range parts {
 		count, rest, err := uvarint(part, "ghs edge count")
 		if err != nil {
@@ -286,17 +285,14 @@ func ghsMerge(g *graph.Graph, parts [][]byte) (any, error) {
 			if e, rest, err = uvarint(rest, "ghs edge id"); err != nil {
 				return nil, err
 			}
-			if id := int(e); !seen[id] {
-				seen[id] = true
-				out.Edges = append(out.Edges, id)
-			}
+			raw = append(raw, int(e))
 		}
 		if len(rest) != 0 {
 			return nil, fmt.Errorf("workloads: %d trailing bytes in ghs part", len(rest))
 		}
 	}
-	out.Weight = g.TotalWeight(out.Edges)
-	return out, nil
+	edges := mstbase.DedupEdges(raw)
+	return MSTOutput{Edges: edges, Weight: g.TotalWeight(edges)}, nil
 }
 
 func buildWalks(spec transport.Spec) (*transport.Instance, error) {
@@ -313,7 +309,7 @@ func buildWalks(spec transport.Spec) (*transport.Instance, error) {
 	if spec.Steps < 0 {
 		return nil, fmt.Errorf("workloads: walks needs steps ≥ 0, got %d", spec.Steps)
 	}
-	programs, arrived, maxRounds := randomwalk.WalkPrograms(g, randomwalk.UniformCountTimesDegree(g, spec.K), spec.Steps)
+	programs, arrived, _, maxRounds := randomwalk.WalkPrograms(g, randomwalk.UniformCountTimesDegree(g, spec.K), nil, spec.Steps, nil)
 	return &transport.Instance{
 		Graph:     g,
 		Programs:  programs,
@@ -341,29 +337,37 @@ func buildWalks(spec transport.Spec) (*transport.Instance, error) {
 	}, nil
 }
 
-// buildWalksFaults materializes ONE attempt of a faulty walk run,
-// exactly as randomwalk.RunNetworkFaults builds its per-attempt
-// network: WalkCounts tokens per node (default k·deg like "walks"),
-// sequence numbers from WalkSeqBase (default 0), the walk RNG offset by
-// Retry, and the fault plan from (FaultSpec, FaultSeed). The Finish
-// blob ships the absorbed token identities per owned node —
-// RunWalksFaults reconciles them and drives the next attempt.
+// walkCounts resolves the walks-faults token counts: the spec's
+// explicit WalkCounts, else k·deg(v) per node like "walks".
+func walkCounts(spec transport.Spec, g *graph.Graph) ([]int, error) {
+	if spec.Steps < 0 {
+		return nil, fmt.Errorf("workloads: walks-faults needs steps ≥ 0, got %d", spec.Steps)
+	}
+	switch {
+	case spec.WalkCounts == nil && spec.K < 1:
+		return nil, fmt.Errorf("workloads: walks-faults needs k ≥ 1 walks per degree (or explicit walk_counts), got %d", spec.K)
+	case spec.WalkCounts == nil:
+		return randomwalk.UniformCountTimesDegree(g, spec.K), nil
+	case len(spec.WalkCounts) != g.N():
+		return nil, fmt.Errorf("workloads: walks-faults got %d walk_counts for %d nodes", len(spec.WalkCounts), g.N())
+	}
+	return spec.WalkCounts, nil
+}
+
+// buildWalksFaults materializes ONE attempt of a faulty walk run:
+// WalkCounts tokens per node (default k·deg like "walks"), sequence
+// numbers from WalkSeqBase (default 0), the walk RNG offset by Retry,
+// and the fault plan from (FaultSpec, FaultSeed). The Finish blob ships
+// the absorbed token identities per owned node; RunWalksFaults
+// reconciles them and drives the next attempt.
 func buildWalksFaults(spec transport.Spec) (*transport.Instance, error) {
 	g, err := transport.BuildGraph(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.Steps < 0 {
-		return nil, fmt.Errorf("workloads: walks-faults needs steps ≥ 0, got %d", spec.Steps)
-	}
-	counts := spec.WalkCounts
-	if counts == nil {
-		if spec.K < 1 {
-			return nil, fmt.Errorf("workloads: walks-faults needs k ≥ 1 walks per degree (or explicit walk_counts), got %d", spec.K)
-		}
-		counts = randomwalk.UniformCountTimesDegree(g, spec.K)
-	} else if len(counts) != g.N() {
-		return nil, fmt.Errorf("workloads: walks-faults got %d walk_counts for %d nodes", len(counts), g.N())
+	counts, err := walkCounts(spec, g)
+	if err != nil {
+		return nil, err
 	}
 	seqBase := spec.WalkSeqBase
 	if seqBase == nil {
@@ -375,25 +379,17 @@ func buildWalksFaults(spec transport.Spec) (*transport.Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workloads: walks-faults: %w", err)
 	}
-	programs, _, absorbed := randomwalk.WalkFaultPrograms(g, counts, seqBase, spec.Steps)
+	programs, _, absorbed, maxRounds := randomwalk.WalkPrograms(g, counts, seqBase, spec.Steps, plan)
 	src := rngutil.NewSource(spec.SrcSeed)
 	if spec.Retry > 0 {
 		src = src.Child("walk-retry", uint64(spec.Retry))
-	}
-	issuing := 0
-	for _, c := range counts {
-		issuing += c
-	}
-	budget := issuing*spec.Steps + 4
-	if plan != nil {
-		budget += spec.Steps*plan.MaxDelay() + plan.RecoverySlack()
 	}
 	return &transport.Instance{
 		Graph:     g,
 		Programs:  programs,
 		Source:    src,
 		Faults:    plan,
-		MaxRounds: budget,
+		MaxRounds: maxRounds,
 		Quiet:     true,
 		Finish: func(lo, hi int) []byte {
 			var buf []byte
@@ -442,12 +438,10 @@ func buildWalksFaults(spec transport.Spec) (*transport.Instance, error) {
 	}, nil
 }
 
-// buildGHSFaults materializes ONE attempt of a faulty GHS run, exactly
-// as mstbase.GHSNetworkFaults builds its per-attempt network: the
-// defensive program variant when the plan has any rule, the GHS RNG
-// offset by Retry, and the stretched round budget. Output is MSTOutput
-// like "ghs"; RunGHSFaults checks it against the oracle and drives
-// retries.
+// buildGHSFaults materializes ONE attempt of a faulty GHS run: the
+// programs and budget GHSPrograms builds for the plan, and the GHS RNG
+// offset by Retry. Output is MSTOutput like "ghs"; RunGHSFaults checks
+// it against the oracle and drives retries.
 func buildGHSFaults(spec transport.Spec) (*transport.Instance, error) {
 	if spec.WeightSeed == 0 {
 		return nil, fmt.Errorf("workloads: ghs-faults needs a nonzero weight_seed (distinct edge weights)")
@@ -463,11 +457,7 @@ func buildGHSFaults(spec transport.Spec) (*transport.Instance, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workloads: ghs-faults: %w", err)
 	}
-	faulty := plan != nil && !plan.Empty()
-	programs, budget := mstbase.GHSFaultPrograms(g, faulty)
-	if faulty {
-		budget += plan.MaxDelay() + plan.RecoverySlack()
-	}
+	programs, maxRounds := mstbase.GHSPrograms(g, plan)
 	src := rngutil.NewSource(spec.SrcSeed)
 	if spec.Retry > 0 {
 		src = src.Child("ghs-retry", uint64(spec.Retry))
@@ -477,7 +467,7 @@ func buildGHSFaults(spec transport.Spec) (*transport.Instance, error) {
 		Programs:  programs,
 		Source:    src,
 		Faults:    plan,
-		MaxRounds: budget,
+		MaxRounds: maxRounds,
 		Finish:    ghsFinish(programs),
 		Merge:     ghsMerge,
 	}, nil
