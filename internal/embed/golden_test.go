@@ -220,3 +220,118 @@ func TestGoldenAlgorithms(t *testing.T) {
 		ConstructionBase: h.ConstructionRoundsBase(),
 	})
 }
+
+// defaultAlgorithmsDoc pins the embedded-tier algorithms in the default
+// parameter regime: one partition level whose leaf parts hold dozens of
+// vids each (77 at most here), the shape of the benchmark's route
+// workload, where the leaf-level BFS paths dominate routing.
+type defaultAlgorithmsDoc struct {
+	LeafParts        int `json:"leaf_parts"`
+	MaxLeafPart      int `json:"max_leaf_part"`
+	RouteBaseRounds  int `json:"route_base_rounds"`
+	RouteG0Rounds    int `json:"route_g0_rounds"`
+	RouteLeafG0      int `json:"route_leaf_g0_rounds"`
+	ExactRounds      int `json:"route_exact_rounds"`
+	ExactCongestion  int `json:"route_exact_congestion"`
+	ExactDilation    int `json:"route_exact_dilation"`
+	PhasedRounds     int `json:"route_phased4_rounds"`
+	CliqueRounds     int `json:"clique_rounds"`
+	CliquePhases     int `json:"clique_phases"`
+	MSTRounds        int `json:"mst_rounds"`
+	MSTIterations    int `json:"mst_iterations"`
+	ConstructionBase int `json:"construction_rounds"`
+}
+
+// TestGoldenAlgorithmsDefault pins Route, RouteExact, RoutePhased with
+// four phases, cliquemu.Hierarchical and mst.Run on the default-parameter
+// rr128d8-seed3 hierarchy.
+func TestGoldenAlgorithmsDefault(t *testing.T) {
+	g := graph.RandomRegular(128, 8, rngutil.NewRand(5))
+	h, err := embed.Build(g, embed.DefaultParams(), rngutil.NewSource(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := h.Overlay(h.Levels)
+	sizes := make([]int, leaf.NumParts)
+	for _, p := range leaf.PartOf {
+		sizes[p]++
+	}
+	doc := defaultAlgorithmsDoc{ConstructionBase: h.ConstructionRoundsBase()}
+	for _, s := range sizes {
+		if s > 0 {
+			doc.LeafParts++
+		}
+		doc.MaxLeafPart = max(doc.MaxLeafPart, s)
+	}
+	reqs := route.DegreeDemand(g, rngutil.NewRand(8))
+	rep, err := route.Route(h, reqs, rngutil.NewSource(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.RouteBaseRounds, doc.RouteG0Rounds, doc.RouteLeafG0 = rep.BaseRounds, rep.G0Rounds, rep.LeafG0Rounds
+	ex, err := route.RouteExact(h, reqs, rngutil.NewSource(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.ExactRounds, doc.ExactCongestion, doc.ExactDilation = ex.ExactRounds, ex.Congestion, ex.Dilation
+	ph, err := route.RoutePhased(h, cliquemu.AllToAll(g), 4, rngutil.NewSource(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.PhasedRounds = ph.BaseRounds
+	cl, err := cliquemu.Hierarchical(h, rngutil.NewSource(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.CliqueRounds, doc.CliquePhases = cl.Rounds, cl.Phases
+	m, err := mst.Run(h, rngutil.NewSource(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.MSTRounds, doc.MSTIterations = m.AlgorithmRounds, len(m.Iterations)
+	checkGolden(t, "algorithms-rr128d8-seed3", doc)
+}
+
+// partitionedRouteDoc pins one stitched routing run over the cluster tier.
+type partitionedRouteDoc struct {
+	Waves           int        `json:"waves"`
+	BaseRounds      int        `json:"base_rounds"`
+	ClusterRounds   int        `json:"cluster_rounds"`
+	BoundaryRounds  int        `json:"boundary_rounds"`
+	MaxBoundaryLoad int        `json:"max_boundary_load"`
+	ClusterBatches  int        `json:"cluster_batches"`
+	Ledger          []cost.Row `json:"ledger"`
+}
+
+// TestGoldenRoutePartitioned pins route.RoutePartitioned over the
+// barbell cluster tier at both build seeds of TestGoldenPartitioned, so
+// every cluster hierarchy's leaf paths feed a pinned round count.
+func TestGoldenRoutePartitioned(t *testing.T) {
+	g := graph.Barbell(16, 8)
+	dec, err := decomp.Decompose(g, decomp.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{7, 91} {
+		t.Run(fmt.Sprint("barbell16x8-seed", seed), func(t *testing.T) {
+			pe, err := embed.BuildPartitioned(dec, embed.DefaultParams(), rngutil.NewSource(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqs := route.DegreeDemand(g, rngutil.NewRand(seed+1))
+			rep, err := route.RoutePartitioned(pe, reqs, rngutil.NewSource(seed+2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, fmt.Sprint("route-partitioned-barbell16x8-seed", seed), partitionedRouteDoc{
+				Waves:           rep.Waves,
+				BaseRounds:      rep.BaseRounds,
+				ClusterRounds:   rep.ClusterRounds,
+				BoundaryRounds:  rep.BoundaryRounds,
+				MaxBoundaryLoad: rep.MaxBoundaryLoad,
+				ClusterBatches:  rep.ClusterBatches,
+				Ledger:          rep.Costs.Rows(),
+			})
+		})
+	}
+}
