@@ -77,12 +77,12 @@ func Hierarchical(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 	if phases < 1 {
 		phases = 1
 	}
+	led := cost.New("clique-emulation", "base rounds")
 	reqs := AllToAll(g)
 	rep, err := route.RoutePhased(h, reqs, phases, src)
 	if err != nil {
 		return nil, fmt.Errorf("cliquemu: %w", err)
 	}
-	led := cost.New("clique-emulation", "base rounds")
 	led.Attach(rep.Costs.Root)
 	rounds := led.CloseExpect(rep.BaseRounds)
 	if err := led.Err(); err != nil {

@@ -2,9 +2,12 @@ package cliquemu
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
@@ -180,5 +183,24 @@ func TestDirectLedger(t *testing.T) {
 	}
 	if sp.Total() != res.Rounds {
 		t.Fatalf("bfs-schedule span %d != Rounds %d", sp.Total(), res.Rounds)
+	}
+}
+
+// TestHierarchicalSpanWalls: the clique ledger is open while the phased
+// routing runs, so its wall covers the grafted routing ledger, and every
+// routing phase's prep span measured its walks.
+func TestHierarchicalSpanWalls(t *testing.T) {
+	res, err := Hierarchical(testHierarchy(t), rngutil.NewSource(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := res.Costs.Root
+	for _, w := range cost.FlattenWall(root) {
+		if strings.HasSuffix(w.Path, "/prep") && w.WallNS <= 0 {
+			t.Errorf("%s: wall %dns, want > 0", w.Path, w.WallNS)
+		}
+	}
+	for _, gap := range cost.WallGaps(root, time.Microsecond) {
+		t.Error(gap)
 	}
 }

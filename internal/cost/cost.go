@@ -336,6 +336,30 @@ func FlattenWall(s *Span) []WallRow {
 	return rows
 }
 
+// WallGaps lists every span under s, s included, whose wall time falls
+// short of its children's summed walls by more than slack, one
+// "path: wall W below its children's sum S" entry each. Children run one
+// after another inside their parent, so a gap means a span was opened
+// after work its children measured.
+func WallGaps(s *Span, slack time.Duration) []string {
+	var gaps []string
+	var walk func(sp *Span, path string)
+	walk = func(sp *Span, path string) {
+		var sum time.Duration
+		for _, c := range sp.Children {
+			sum += c.Wall()
+			walk(c, path+"/"+c.Name)
+		}
+		if sp.Wall()+slack < sum {
+			gaps = append(gaps, fmt.Sprintf("%s: wall %v below its children's sum %v", path, sp.Wall(), sum))
+		}
+	}
+	if s != nil {
+		walk(s, s.Name)
+	}
+	return gaps
+}
+
 // WallRows flattens the whole ledger's host times (depth-first
 // pre-order, paths matching Rows).
 func (l *Ledger) WallRows() []WallRow {

@@ -144,3 +144,31 @@ func TestRowHasNoWallField(t *testing.T) {
 		}
 	}
 }
+
+// TestWallGaps: a ledger grafted after its work ran sits under a parent
+// whose wall misses that work, and WallGaps names exactly that parent.
+func TestWallGaps(t *testing.T) {
+	advance := fakeClock(t)
+	work := New("work", "r")
+	advance(4 * time.Millisecond)
+	work.Close()
+
+	l := New("run", "r")
+	l.Open("late", "r", 1) // opened after the work it grafts
+	l.Attach(work.Root)
+	advance(time.Millisecond)
+	l.Close()
+	l.Open("covering", "r", 1)
+	advance(2 * time.Millisecond)
+	l.Close()
+	advance(4 * time.Millisecond)
+	l.Close()
+
+	gaps := WallGaps(l.Root, time.Microsecond)
+	if len(gaps) != 1 || gaps[0] != "run/late: wall 1ms below its children's sum 4ms" {
+		t.Fatalf("gaps %q, want only run/late", gaps)
+	}
+	if gaps := WallGaps(l.Root.Child("covering"), 0); gaps != nil {
+		t.Fatalf("covering span reports gaps %q", gaps)
+	}
+}

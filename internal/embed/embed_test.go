@@ -422,3 +422,22 @@ func TestConstructionLedger(t *testing.T) {
 		t.Fatalf("emulation-factors/g0 %d, want %d", got, h.G0.EmulationRounds)
 	}
 }
+
+// TestLeafPathsSize: the leaf-path table holds one int32 per ordered vid
+// pair inside each leaf part, Σ_p s_p² entries, and nothing for pairs
+// across parts.
+func TestLeafPathsSize(t *testing.T) {
+	h := testHierarchy(t)
+	o := h.Overlay(h.Levels)
+	sizes := make([]int, o.NumParts)
+	for _, p := range o.PartOf {
+		sizes[p]++
+	}
+	want := 0
+	for _, s := range sizes {
+		want += s * s
+	}
+	if got := len(h.LeafPaths().parent); got != want {
+		t.Fatalf("table holds %d entries, want Σ s_p² = %d", got, want)
+	}
+}

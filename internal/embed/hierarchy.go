@@ -2,6 +2,7 @@ package embed
 
 import (
 	"fmt"
+	"sync"
 
 	"almostmix/internal/cost"
 	"almostmix/internal/graph"
@@ -32,6 +33,11 @@ type Hierarchy struct {
 	// emulation-factors span. Its root total is the construction cost in
 	// base-graph rounds; ConstructionRoundsBase reads it.
 	Costs *cost.Ledger
+
+	// leafPaths is the leaf-path table, built by the first LeafPaths
+	// call. The Once makes a Hierarchy unsafe to copy by value.
+	leafOnce  sync.Once
+	leafPaths *LeafPaths
 }
 
 // ResolvedParams is the public snapshot of the concrete values a Build

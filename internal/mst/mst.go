@@ -112,6 +112,19 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 			res.MaxTreeDepth = stats.TreeDepth
 		}
 
+		// Charge: fragment exchange + (up + down + balancing) steps.
+		// The iteration's spans are open while their work runs. The
+		// tree-steps span grafts the measured routing instance's own
+		// ledger; its multiplier repeats it once per upcast/downcast
+		// level and balancing wave, known once the merge is done.
+		// Closing checks the span tree against the direct formula, and
+		// the iteration total becomes stats.Rounds.
+		led.Open(fmt.Sprintf("iteration-%02d", iter), "base rounds", 1)
+		led.Open("fragment-exchange", "base rounds", 1)
+		led.Charge(1)
+		led.Close()
+		treeSteps := led.Open("tree-steps", "base rounds per step", 0)
+
 		// Measure the cost of one tree-routing step: every non-root
 		// sends one message to its virtual parent.
 		stepRep, err := measureTreeStep(h, forest, src.Child("step", uint64(iter)))
@@ -121,7 +134,9 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 		stepRounds := 0
 		if stepRep != nil {
 			stepRounds = stepRep.BaseRounds
+			led.Attach(stepRep.Costs.Root)
 		}
+		led.CloseExpect(stepRounds)
 		stats.StepRounds = stepRounds
 
 		// MWOE per fragment (the upcast's semantic outcome).
@@ -185,22 +200,8 @@ func Run(h *embed.Hierarchy, src *rngutil.Source) (*Result, error) {
 			res.MaxInDegRatio = stats.MaxInDegRatio
 		}
 
-		// Charge: fragment exchange + (up + down + balancing) steps.
-		// The tree-steps span grafts the measured routing instance's own
-		// ledger; its multiplier repeats it once per upcast/downcast
-		// level and balancing wave. Closing checks the span tree against
-		// the direct formula, and the iteration total becomes
-		// stats.Rounds.
 		stats.UpcastSteps = 2 * (stats.TreeDepth + 1)
-		led.Open(fmt.Sprintf("iteration-%02d", iter), "base rounds", 1)
-		led.Open("fragment-exchange", "base rounds", 1)
-		led.Charge(1)
-		led.Close()
-		led.Open("tree-steps", "base rounds per step", stats.UpcastSteps+waves)
-		if stepRep != nil {
-			led.Attach(stepRep.Costs.Root)
-		}
-		led.CloseExpect(stepRounds)
+		treeSteps.Mul = stats.UpcastSteps + waves
 		stats.Rounds = led.CloseExpect(1 + (stats.UpcastSteps+waves)*stepRounds)
 		res.AlgorithmRounds += stats.Rounds
 		res.Iterations = append(res.Iterations, stats)

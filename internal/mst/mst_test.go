@@ -3,10 +3,13 @@ package mst
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
+	"almostmix/internal/cost"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
@@ -346,5 +349,35 @@ func TestMSTLedgerDerivesRounds(t *testing.T) {
 	}
 	if sum != res.AlgorithmRounds {
 		t.Fatalf("iteration spans sum %d != AlgorithmRounds %d", sum, res.AlgorithmRounds)
+	}
+}
+
+// TestRunSpanWalls: each iteration's tree-steps span is open while its
+// routing instance runs, so walls cover their children throughout the
+// algorithm span. The grafted construction ledger measured Build, which
+// ran before Run, so the root is checked against the algorithm alone.
+func TestRunSpanWalls(t *testing.T) {
+	res, err := Run(testFixture(t).h, rngutil.NewSource(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := res.Costs.Root.Child("algorithm")
+	preps := 0
+	for _, w := range cost.FlattenWall(alg) {
+		if strings.HasSuffix(w.Path, "/prep") {
+			preps++
+			if w.WallNS <= 0 {
+				t.Errorf("%s: wall %dns, want > 0", w.Path, w.WallNS)
+			}
+		}
+	}
+	if preps == 0 {
+		t.Error("no tree step's routing ledger has a prep span")
+	}
+	for _, gap := range cost.WallGaps(alg, time.Microsecond) {
+		t.Error(gap)
+	}
+	if root := res.Costs.Root; root.Wall()+time.Microsecond < alg.Wall() {
+		t.Errorf("root wall %v below its algorithm span's %v", root.Wall(), alg.Wall())
 	}
 }

@@ -5,9 +5,7 @@ import (
 
 	"almostmix/internal/embed"
 	"almostmix/internal/pathsched"
-	"almostmix/internal/randomwalk"
 	"almostmix/internal/rngutil"
-	"almostmix/internal/spectral"
 )
 
 // RouteExact measures the same routing execution two ways: with the
@@ -31,9 +29,10 @@ type ExactReport struct {
 	Congestion, Dilation int
 }
 
-// traversal records one overlay-edge crossing by a packet. A negative
-// edge means "any edge between from and to" (leaf BFS hops, where parallel
-// edges are equivalent); portal hops name their exact crossing edge.
+// traversal records one overlay-edge crossing by a packet. Portal hops
+// name their exact crossing edge; leaf BFS hops know only their two vids
+// and record a negative edge, which the expansion resolves to the
+// highest-ID edge between them.
 type traversal struct {
 	level    int
 	edge     int32
@@ -51,21 +50,7 @@ func RouteExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 
 	// Preparation with recorded walk paths, so the physical prefix of
 	// each packet's journey is part of the exact schedule.
-	sources := make([]int32, len(reqs))
-	for i, req := range reqs {
-		sources[i] = int32(req.SrcNode)
-	}
-	prep := randomwalk.Run(h.Base, sources, randomwalk.Config{
-		Kind:   spectral.Lazy,
-		Steps:  h.TauMix,
-		Record: true,
-	}, src.Stream("prep", 0))
-	for i := range reqs {
-		end := int(prep.Ends[i])
-		r.cur[i] = h.VM.VID(end, r.rng.IntN(h.VM.DegreeOf(end)))
-	}
-	r.chargePrep(prep.Stats.Rounds)
-	r.leafAdj = newPartBFS(h.Overlay(h.Levels))
+	prep := r.prepare(reqs, src, true)
 
 	g0Cost, err := r.runRecursion()
 	if err != nil {
@@ -75,24 +60,21 @@ func RouteExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 		return nil, err
 	}
 
-	// Expand every packet's journey to a base-graph walk.
+	// Expand every packet's journey to a base-graph walk, built in one
+	// scratch buffer and kept in the expander's arena.
 	ex := newExpander(h)
-	paths := make([][]int32, 0, len(reqs))
+	var buf []int32
+	paths := make([][]int32, len(reqs))
 	for i := range reqs {
-		path := prep.Path(i)
+		buf = prep.AppendPath(buf[:0], i)
 		for _, tr := range r.trace[i] {
 			edge := tr.edge
 			if edge < 0 {
 				edge = ex.edgeBetween(tr.level, tr.from, tr.to)
 			}
-			seg := ex.expand(tr.level, int(edge), tr.from)
-			// Segments join at the shared physical endpoint.
-			if len(path) > 0 && len(seg) > 0 && path[len(path)-1] == seg[0] {
-				seg = seg[1:]
-			}
-			path = append(path, seg...)
+			buf = ex.appendEdge(buf, tr.level, int(edge), tr.from)
 		}
-		paths = append(paths, path)
+		paths[i] = ex.arena.keep(buf)
 	}
 	sched := pathsched.Schedule(paths)
 	if err := pathsched.Validate(paths, func(a, b int32) bool {
@@ -108,92 +90,111 @@ func RouteExact(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*Exact
 	}, nil
 }
 
+// pathArena keeps int32 paths in large shared chunks: many paths cost a
+// few allocations, without the copy spikes of one doubling buffer.
+type pathArena struct{ chunk []int32 }
+
+const arenaChunk = 1 << 16
+
+// keep copies p into the arena and returns the copy.
+func (a *pathArena) keep(p []int32) []int32 {
+	if cap(a.chunk)-len(a.chunk) < len(p) {
+		a.chunk = make([]int32, 0, max(arenaChunk, len(p)))
+	}
+	at := len(a.chunk)
+	a.chunk = append(a.chunk, p...)
+	return a.chunk[at:len(a.chunk):len(a.chunk)]
+}
+
 // expander memoizes the physical expansion of overlay edges.
 type expander struct {
 	h *embed.Hierarchy
-	// memo[level][edge] is the forward (U→V) physical path.
-	memo []map[int][]int32
-	// link[level] maps a directed vid pair to an overlay edge at that
-	// level (any parallel edge serves).
-	link []map[int64]int32
+	// memo[level][edge] is the forward (U→V) physical path, nil until
+	// computed. Paths above level 0 are built in scratch[level] and kept
+	// in arena; level-0 paths are the overlay's own embedded paths.
+	memo    [][][]int32
+	scratch [][]int32
+	arena   pathArena
 }
 
 func newExpander(h *embed.Hierarchy) *expander {
 	ex := &expander{
-		h:    h,
-		memo: make([]map[int][]int32, h.Levels+1),
-		link: make([]map[int64]int32, h.Levels+1),
+		h:       h,
+		memo:    make([][][]int32, h.Levels+1),
+		scratch: make([][]int32, h.Levels+1),
 	}
-	for l := 0; l <= h.Levels; l++ {
-		ex.memo[l] = make(map[int][]int32)
+	for l := range ex.memo {
+		ex.memo[l] = make([][]int32, h.Overlay(l).Graph.M())
 	}
 	return ex
 }
 
-// edgeBetween finds an overlay edge between two vids at the given level.
+// edgeBetween finds the overlay edge between two vids at the given level.
+// Parallel edges embed different paths, so the choice is fixed: the
+// highest edge ID.
 func (ex *expander) edgeBetween(level int, a, b int32) int32 {
-	if ex.link[level] == nil {
-		o := ex.h.Overlay(level)
-		m := make(map[int64]int32, 2*o.Graph.M())
-		for id, e := range o.Graph.Edges() {
-			m[int64(e.U)<<32|int64(e.V)] = int32(id)
-			m[int64(e.V)<<32|int64(e.U)] = int32(id)
+	id := -1
+	for _, he := range ex.h.Overlay(level).Graph.Neighbors(int(a)) {
+		if he.To == int(b) && he.EdgeID > id {
+			id = he.EdgeID
 		}
-		ex.link[level] = m
 	}
-	id, ok := ex.link[level][int64(a)<<32|int64(b)]
-	if !ok {
+	if id < 0 {
 		panic(fmt.Sprintf("route: no level-%d edge between vids %d and %d", level, a, b))
 	}
-	return id
+	return int32(id)
 }
 
-// expand returns the physical walk of overlay edge `edge` at `level`,
-// oriented to start at the owner of vid `from`.
-func (ex *expander) expand(level, edge int, from int32) []int32 {
-	e := ex.h.Overlay(level).Graph.Edge(edge)
+// appendEdge appends the physical walk of overlay edge `edge` at `level`,
+// oriented to start at the owner of vid `from`, to dst. When dst ends at
+// the walk's first node, the two join there and that node is not
+// repeated.
+func (ex *expander) appendEdge(dst []int32, level, edge int, from int32) []int32 {
 	fwd := ex.forward(level, edge)
-	if int(from) == e.U {
-		return fwd
+	joins := func(v int32) bool { return len(dst) > 0 && dst[len(dst)-1] == v }
+	if int(from) == ex.h.Overlay(level).Graph.Edge(edge).U {
+		if joins(fwd[0]) {
+			fwd = fwd[1:]
+		}
+		return append(dst, fwd...)
 	}
-	out := make([]int32, len(fwd))
-	for i, v := range fwd {
-		out[len(fwd)-1-i] = v
+	i := len(fwd) - 1
+	if joins(fwd[i]) {
+		i--
 	}
-	return out
+	for ; i >= 0; i-- {
+		dst = append(dst, fwd[i])
+	}
+	return dst
 }
 
 // forward computes (and memoizes) the U→V physical path of an overlay
 // edge.
 func (ex *expander) forward(level, edge int) []int32 {
-	if p, ok := ex.memo[level][edge]; ok {
+	if p := ex.memo[level][edge]; p != nil {
 		return p
 	}
 	o := ex.h.Overlay(level)
 	e := o.Graph.Edge(edge)
 	below := o.EdgePath(edge, int32(e.U))
-	var out []int32
 	if level == 0 {
-		out = below // already physical
-	} else {
-		for i := 1; i < len(below); i++ {
-			a, b := below[i-1], below[i]
-			if a == b {
-				continue
-			}
-			sub := ex.expand(level-1, int(ex.edgeBetween(level-1, a, b)), a)
-			if len(out) > 0 && out[len(out)-1] == sub[0] {
-				sub = sub[1:]
-			} else if len(out) == 0 {
-				// keep the full first segment
-			}
-			out = append(out, sub...)
-		}
-		if len(out) == 0 {
-			// Degenerate all-lazy path: stay at the owner.
-			out = []int32{int32(ex.h.VM.Owner(int32(e.U)))}
-		}
+		ex.memo[0][edge] = below // already physical
+		return below
 	}
-	ex.memo[level][edge] = out
-	return out
+	out := ex.scratch[level][:0]
+	for i := 1; i < len(below); i++ {
+		a, b := below[i-1], below[i]
+		if a == b {
+			continue
+		}
+		out = ex.appendEdge(out, level-1, int(ex.edgeBetween(level-1, a, b)), a)
+	}
+	if len(out) == 0 {
+		// Degenerate all-lazy path: stay at the owner.
+		out = append(out, int32(ex.h.VM.Owner(int32(e.U))))
+	}
+	ex.scratch[level] = out
+	p := ex.arena.keep(out)
+	ex.memo[level][edge] = p
+	return p
 }

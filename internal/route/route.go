@@ -74,12 +74,17 @@ type Report struct {
 
 // router carries the mutable state of one routing run.
 type router struct {
-	h       *embed.Hierarchy
-	cur     []int32 // packet -> current virtual node
-	dst     []int32 // packet -> destination virtual node
-	rng     *rand.Rand
-	report  *Report
-	leafAdj *partBFS
+	h      *embed.Hierarchy
+	cur    []int32 // packet -> current virtual node
+	dst    []int32 // packet -> destination virtual node
+	rng    *rand.Rand
+	report *Report
+	// leaf is the hierarchy's leaf-path table. routeLeaf reuses
+	// leafBuf for all paths of a batch and leafPaths for the per-packet
+	// views into it.
+	leaf      *embed.LeafPaths
+	leafBuf   []int32
+	leafPaths [][]int32
 	// trace, when non-nil, records every overlay-edge traversal per
 	// packet for RouteExact's full expansion.
 	trace [][]traversal
@@ -124,8 +129,7 @@ func RouteTraced(h *embed.Hierarchy, reqs []Request, src *rngutil.Source, probe 
 	}
 	r.probe = probe
 
-	r.prepare(reqs, src)
-	r.leafAdj = newPartBFS(h.Overlay(h.Levels))
+	r.prepare(reqs, src, false)
 
 	if r.probe != nil {
 		r.probe.RunStart(congest.RunInfo{
@@ -175,14 +179,6 @@ func newRouter(h *embed.Hierarchy, reqs []Request, src *rngutil.Source) (*router
 	return r, nil
 }
 
-// chargePrep records the preparation walks as the ledger's prep span.
-func (r *router) chargePrep(rounds int) {
-	sp := r.led.Open("prep", "base rounds", 1)
-	r.led.Charge(rounds)
-	r.led.Close()
-	r.report.PrepRounds = sp.Total()
-}
-
 // runRecursion opens the recursion span (G0 rounds, multiplied into base
 // rounds by the G0 emulation factor) with one portal-hop child per level
 // and a leaf-movement child, then routes all packets from level 0. The
@@ -190,6 +186,7 @@ func (r *router) chargePrep(rounds int) {
 // "children sum to the return value" a checked identity.
 func (r *router) runRecursion() (int, error) {
 	r.recSpan = r.led.Open("recursion", "G0 rounds", r.h.G0.EmulationRounds)
+	r.leaf = r.h.LeafPaths()
 	r.hopSpans = make([]*cost.Span, r.h.Levels)
 	for l := 0; l < r.h.Levels; l++ {
 		r.hopSpans[l] = r.recSpan.NewChild(
@@ -235,8 +232,10 @@ func (r *router) finish(g0Cost int, delivered int) error {
 
 // prepare runs the §3.2 preparation step: one lazy walk of mixing-time
 // length per packet from its source, landing each packet on a uniformly
-// random virtual node.
-func (r *router) prepare(reqs []Request, src *rngutil.Source) {
+// random virtual node. The walks run inside the ledger's prep span;
+// record keeps their paths for RouteExact.
+func (r *router) prepare(reqs []Request, src *rngutil.Source, record bool) *randomwalk.Result {
+	sp := r.led.Open("prep", "base rounds", 1)
 	sources := make([]int32, len(reqs))
 	for i, req := range reqs {
 		sources[i] = int32(req.SrcNode)
@@ -244,6 +243,7 @@ func (r *router) prepare(reqs []Request, src *rngutil.Source) {
 	res := randomwalk.Run(r.h.Base, sources, randomwalk.Config{
 		Kind:      spectral.Lazy,
 		Steps:     r.h.TauMix,
+		Record:    record,
 		Probe:     r.probe,
 		TraceName: "prep",
 	}, src.Stream("prep", 0))
@@ -251,7 +251,10 @@ func (r *router) prepare(reqs []Request, src *rngutil.Source) {
 		end := int(res.Ends[i])
 		r.cur[i] = r.h.VM.VID(end, r.rng.IntN(r.h.VM.DegreeOf(end)))
 	}
-	r.chargePrep(res.Stats.Rounds)
+	r.led.Charge(res.Stats.Rounds)
+	r.led.Close()
+	r.report.PrepRounds = sp.Total()
+	return res
 }
 
 // route recursively delivers packets pkts to targets, all of which lie in
@@ -350,28 +353,34 @@ func (r *router) route(level int, pkts []int, targets []int32) (int, error) {
 	return cost + bCost, nil
 }
 
-// routeLeaf moves packets along BFS paths of the leaf overlay and returns
-// the measured cost in G0 rounds.
+// routeLeaf moves packets along BFS paths of the leaf overlay, read from
+// the leaf-path table into one shared buffer, and returns the measured
+// cost in G0 rounds.
 func (r *router) routeLeaf(pkts []int, targets []int32) (int, error) {
-	paths := make([][]int32, 0, len(pkts))
+	buf, paths := r.leafBuf[:0], r.leafPaths[:0]
 	for idx, p := range pkts {
-		if r.cur[p] == targets[idx] {
+		src, dst := r.cur[p], targets[idx]
+		if src == dst {
 			continue
 		}
-		path, err := r.leafAdj.path(r.cur[p], targets[idx])
-		if err != nil {
+		at := len(buf)
+		var err error
+		if buf, err = r.appendLeafPath(buf, src, dst); err != nil {
 			return 0, err
 		}
 		if r.trace != nil {
-			for j := 1; j < len(path); j++ {
+			for j := at + 1; j < len(buf); j++ {
 				r.trace[p] = append(r.trace[p], traversal{
-					level: r.h.Levels, edge: -1, from: path[j-1], to: path[j],
+					level: r.h.Levels, edge: -1, from: buf[j-1], to: buf[j],
 				})
 			}
 		}
-		paths = append(paths, path)
-		r.cur[p] = targets[idx]
+		// A view stays valid when buf later grows: it keeps the array
+		// it was cut from.
+		paths = append(paths, buf[at:len(buf):len(buf)])
+		r.cur[p] = dst
 	}
+	r.leafBuf, r.leafPaths = buf, paths
 	if len(paths) == 0 {
 		return 0, nil
 	}
@@ -381,4 +390,19 @@ func (r *router) routeLeaf(pkts []int, targets []int32) (int, error) {
 	r.g0Done += leafG0
 	r.mark("leaf movement")
 	return leafG0, nil
+}
+
+// appendLeafPath appends the leaf-level BFS path from src to dst to buf.
+func (r *router) appendLeafPath(buf []int32, src, dst int32) ([]int32, error) {
+	partOf := r.h.Overlay(r.h.Levels).PartOf
+	if partOf[src] != partOf[dst] {
+		return buf, fmt.Errorf("route: leaf path request across parts (%d vs %d)",
+			partOf[src], partOf[dst])
+	}
+	buf, ok := r.leaf.AppendPath(buf, src, dst)
+	if !ok {
+		return buf, fmt.Errorf("route: vid %d unreachable from %d in leaf part %d",
+			dst, src, partOf[src])
+	}
+	return buf, nil
 }

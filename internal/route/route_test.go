@@ -2,9 +2,13 @@ package route
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"almostmix/internal/congest"
+	"almostmix/internal/cost"
 	"almostmix/internal/embed"
 	"almostmix/internal/graph"
 	"almostmix/internal/rngutil"
@@ -410,4 +414,58 @@ func TestRoutePhasedLedger(t *testing.T) {
 	if sum != led.Root.Total() {
 		t.Fatalf("phase spans sum %d != root %d", sum, led.Root.Total())
 	}
+}
+
+// checkSpanWalls: every prep span of the ledger measured its walks, and
+// every span's wall covers its children's (the slack absorbs clock
+// granularity).
+func checkSpanWalls(t *testing.T, root *cost.Span) {
+	t.Helper()
+	preps := 0
+	for _, w := range cost.FlattenWall(root) {
+		if strings.HasSuffix(w.Path, "/prep") {
+			preps++
+			if w.WallNS <= 0 {
+				t.Errorf("%s: wall %dns, want > 0", w.Path, w.WallNS)
+			}
+		}
+	}
+	if preps == 0 {
+		t.Error("ledger has no prep span")
+	}
+	for _, gap := range cost.WallGaps(root, time.Microsecond) {
+		t.Error(gap)
+	}
+}
+
+// stallingProbe stalls at the start of the preparation walks.
+type stallingProbe struct{ congest.NopProbe }
+
+const prepStall = 2 * time.Millisecond
+
+func (stallingProbe) RunStart(info congest.RunInfo) {
+	if info.Name == "prep" {
+		time.Sleep(prepStall)
+	}
+}
+
+// TestRouteSpanWalls: the prep span is open while the preparation walks
+// run (a probe stalling inside them shows in its wall), and each
+// RoutePhased phase span while its phase routes.
+func TestRouteSpanWalls(t *testing.T) {
+	h := testHierarchy(t)
+	reqs := DegreeDemand(h.Base, rngutil.NewRand(4))
+	rep, err := RouteTraced(h, reqs, rngutil.NewSource(5), stallingProbe{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSpanWalls(t, rep.Costs.Root)
+	if w := rep.Costs.Root.Child("prep").Wall(); w < prepStall {
+		t.Errorf("prep wall %v misses the %v stall inside its walks", w, prepStall)
+	}
+	ph, err := RoutePhased(h, reqs, 3, rngutil.NewSource(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSpanWalls(t, ph.Costs.Root)
 }

@@ -71,13 +71,14 @@ func RoutePhased(h *embed.Hierarchy, reqs []Request, phases int, src *rngutil.So
 		if len(bucket) == 0 {
 			continue
 		}
+		// The phase's own ledger is grafted under a per-phase span that
+		// is open while the phase runs, checked against the phase
+		// report's base-round total.
+		led.Open(fmt.Sprintf("phase-%d", b), "base rounds", 1)
 		rep, err := Route(h, bucket, src.Child("phase", uint64(b)))
 		if err != nil {
 			return nil, fmt.Errorf("route: phase %d: %w", b, err)
 		}
-		// Graft the phase's own ledger under a per-phase span, checked
-		// against the phase report's base-round total.
-		led.Open(fmt.Sprintf("phase-%d", b), "base rounds", 1)
 		led.Attach(rep.Costs.Root)
 		led.CloseExpect(rep.BaseRounds)
 		total.Delivered += rep.Delivered
